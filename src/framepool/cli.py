@@ -33,6 +33,7 @@ from .schedule import curve_csv as lr_curve_csv
 from .trainer import (
     PhasePlan,
     TrainConfig,
+    check_feature_width,
     curve_csv,
     dedupe_by_id,
     load_checkpoint,
@@ -255,7 +256,8 @@ def cmd_train(cfg: dict) -> int:
     model_config = ModelConfig(
         pooling_kind=cfg["pooling"], cluster_size=cfg["clusters"],
         hidden_size=cfg["hidden"], d_video=header.d_video, d_audio=header.d_audio,
-        vocab_size=header.vocab_size, modality_mode=cfg["modality"],
+        vocab_size=header.vocab_size,
+        modality_mode={"concat": "concatenated"}.get(cfg["modality"], cfg["modality"]),
         audio_cluster_size=cfg["audio_clusters"])
     model = init_model(model_config, seed=cfg["seed"])
     if cfg["output_prior"] is not None:
@@ -292,10 +294,7 @@ def _model_predictions(cfg: dict) -> tuple[list, dict]:
     model, _, _, _ = restore_checkpoint(load_checkpoint(cfg["checkpoint"]))
     _, records = load_dataset(cfg["data"])
     records = dedupe_by_id(records)
-    if records and records[0].frames.shape[1] != model.config.feature_dim:
-        raise ValueError(
-            f"dataset feature width {records[0].frames.shape[1]} != model "
-            f"feature_dim {model.config.feature_dim}")
+    check_feature_width(records, model)
     predictions = []
     truth = {}
     for start in range(0, len(records), 128):

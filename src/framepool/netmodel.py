@@ -3,8 +3,9 @@
 Each video's frame rows carry video features then audio features.  In
 "separate" mode the two column blocks are pooled by independent towers and the
 pooled descriptors concatenated; in "concatenated" mode one tower pools the
-full rows.  The pooled vector then passes through hidden ReLU and sigmoid
-output layers, giving one probability per label.
+full rows.  A batch is zero-padded to (B, Tmax, D) once, and each tower pools
+it in one kernel call.  The pooled vectors then pass through hidden ReLU and
+sigmoid output layers, giving one probability per label.
 
 Separate mode exists because the wide concatenated configuration at
 challenge-scale dimensions breaks the 1 GB single-model budget that
@@ -111,7 +112,7 @@ class ModelGradients:
     hidden_b: np.ndarray
     out_w: np.ndarray
     out_b: np.ndarray
-    frames: list[np.ndarray] | None = None  # per record, input-shaped
+    frames: list[np.ndarray]  # per record, input-shaped dX
 
 
 def _init_tower(rng: np.random.Generator, kind: str, d: int, k: int):
@@ -240,16 +241,9 @@ def check_size_limit(config: ModelConfig, limit_bytes: int = 2**30) -> tuple[boo
     return ok, report
 
 
-def _pool(frames: np.ndarray, params: VladParams, kind: str):
-    if kind == "netfv":
-        return fv_forward(frames, params)
-    return vlad_forward(frames, params)
-
-
-def _pool_backward(upstream: np.ndarray, cache, kind: str) -> PoolGradients:
-    if kind == "netfv":
-        return fv_backward(upstream, cache)
-    return vlad_backward(upstream, cache)
+def _kernels(kind: str):
+    # looked up at call time, so that a rebinding of the module names takes effect
+    return (fv_forward, fv_backward) if kind == "netfv" else (vlad_forward, vlad_backward)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -267,11 +261,26 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 @dataclass
 class ForwardCache:
     model: Model
-    pool_caches: list  # per record: (video cache, audio cache or None)
+    lengths: np.ndarray  # (B,) frames per record
+    video_cache: object  # pooling cache of the video (or only) tower
+    audio_cache: object | None
     pooled: np.ndarray  # (B, pooled_dim)
     hidden_pre: np.ndarray  # (B, H)
     hidden_act: np.ndarray  # (B, H)
     probs: np.ndarray  # (B, L)
+
+
+def _pad(batch: list[np.ndarray], width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Records stacked into one zero-padded (B, Tmax, width) array, plus lengths."""
+    records = [np.asarray(frames, dtype=np.float64) for frames in batch]
+    for frames in records:
+        if frames.ndim != 2 or frames.shape[1] != width:
+            raise ValueError(f"record shape {frames.shape} inconsistent with feature_dim {width}")
+    lengths = np.array([len(frames) for frames in records])
+    padded = np.zeros((len(records), lengths.max(), width))
+    for row, frames in zip(padded, records):
+        row[: len(frames)] = frames
+    return padded, lengths
 
 
 def model_forward(batch: list[np.ndarray], model: Model) -> tuple[np.ndarray, ForwardCache]:
@@ -279,49 +288,23 @@ def model_forward(batch: list[np.ndarray], model: Model) -> tuple[np.ndarray, Fo
     cfg = model.config
     if len(batch) == 0:
         raise ValueError("empty batch")
-    kind = cfg.pooling_kind
-    pooled_rows = []
-    pool_caches = []
-    for frames in batch:
-        frames = np.asarray(frames, dtype=np.float64)
-        if frames.ndim != 2 or frames.shape[1] != cfg.feature_dim:
-            raise ValueError(
-                f"record shape {frames.shape} inconsistent with feature_dim {cfg.feature_dim}"
-            )
-        if cfg.modality_mode == "concatenated":
-            desc, vc = _pool(frames, model.video_pool, kind)
-            ac = None
-        else:
-            desc, vc = _pool(frames[:, : cfg.d_video], model.video_pool, kind)
-            ac = None
-            if model.audio_pool is not None:
-                adesc, ac = _pool(frames[:, cfg.d_video:], model.audio_pool, kind)
-                desc = np.concatenate([desc, adesc])
-        pooled_rows.append(desc)
-        pool_caches.append((vc, ac))
+    pool = _kernels(cfg.pooling_kind)[0]
+    frames, lengths = _pad(batch, cfg.feature_dim)
+    if model.audio_pool is None:
+        pooled, video_cache = pool(frames, model.video_pool, lengths)
+        audio_cache = None
+    else:
+        video, video_cache = pool(frames[:, :, : cfg.d_video], model.video_pool, lengths)
+        audio, audio_cache = pool(frames[:, :, cfg.d_video:], model.audio_pool, lengths)
+        pooled = np.concatenate([video, audio], axis=1)
 
-    pooled = np.vstack(pooled_rows)
     hidden_pre = pooled @ model.hidden_w + model.hidden_b
     hidden_act = np.maximum(hidden_pre, 0.0)
     probs = _sigmoid(hidden_act @ model.out_w + model.out_b)
-    cache = ForwardCache(model=model, pool_caches=pool_caches, pooled=pooled,
-                         hidden_pre=hidden_pre, hidden_act=hidden_act, probs=probs)
+    cache = ForwardCache(model=model, lengths=lengths, video_cache=video_cache,
+                         audio_cache=audio_cache, pooled=pooled, hidden_pre=hidden_pre,
+                         hidden_act=hidden_act, probs=probs)
     return probs, cache
-
-
-def _zero_pool_gradients(params: VladParams) -> PoolGradients:
-    spreads = np.zeros_like(params.spreads) if isinstance(params, FvParams) else None
-    return PoolGradients(frames=None, assign_weights=np.zeros_like(params.assign_weights),
-                         assign_bias=np.zeros_like(params.assign_bias),
-                         centers=np.zeros_like(params.centers), spreads=spreads)
-
-
-def _accumulate(total: PoolGradients, part: PoolGradients) -> None:
-    total.assign_weights += part.assign_weights
-    total.assign_bias += part.assign_bias
-    total.centers += part.centers
-    if total.spreads is not None:
-        total.spreads += part.spreads
 
 
 def model_backward(dprobs: np.ndarray, cache: ForwardCache) -> ModelGradients:
@@ -342,22 +325,13 @@ def model_backward(dprobs: np.ndarray, cache: ForwardCache) -> ModelGradients:
     d_hidden_b = d_hidden_pre.sum(axis=0)
     d_pooled = d_hidden_pre @ model.hidden_w.T
 
-    kind = cfg.pooling_kind
-    video_total = _zero_pool_gradients(model.video_pool)
-    audio_total = _zero_pool_gradients(model.audio_pool) if model.audio_pool is not None else None
-    video_width = (cfg.pooled_dim if model.audio_pool is None
-                   else cfg._tower_width(cfg.d_video, cfg.cluster_size))
-    frame_grads = []
-    for row, (vc, ac) in zip(d_pooled, cache.pool_caches):
-        vg = _pool_backward(row[:video_width], vc, kind)
-        _accumulate(video_total, vg)
-        dframes = vg.frames
-        if ac is not None:
-            ag = _pool_backward(row[video_width:], ac, kind)
-            _accumulate(audio_total, ag)
-            dframes = np.concatenate([vg.frames, ag.frames], axis=1)
-        frame_grads.append(dframes)
-
-    return ModelGradients(video_pool=video_total, audio_pool=audio_total,
-                          hidden_w=d_hidden_w, hidden_b=d_hidden_b,
-                          out_w=d_out_w, out_b=d_out_b, frames=frame_grads)
+    pool_backward = _kernels(cfg.pooling_kind)[1]
+    video_width, audio = cfg.pooled_dim, None
+    if cache.audio_cache is not None:
+        video_width = cfg._tower_width(cfg.d_video, cfg.cluster_size)
+        audio = pool_backward(d_pooled[:, video_width:], cache.audio_cache)
+    video = pool_backward(d_pooled[:, :video_width], cache.video_cache)
+    dframes = video.frames if audio is None else np.concatenate([video.frames, audio.frames], 2)
+    return ModelGradients(video_pool=video, audio_pool=audio, hidden_w=d_hidden_w,
+                          hidden_b=d_hidden_b, out_w=d_out_w, out_b=d_out_b,
+                          frames=[row[:t] for row, t in zip(dframes, cache.lengths)])

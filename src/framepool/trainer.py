@@ -19,7 +19,7 @@ import json
 import math
 import struct
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -123,6 +123,14 @@ def dedupe_by_id(records: Sequence[VideoRecord]) -> list[VideoRecord]:
     return out
 
 
+def check_feature_width(records: Sequence[VideoRecord], model: Model) -> None:
+    """Reject, before any work, a record whose width is not the model's."""
+    for i, record in enumerate(records):
+        if record.frames.shape[1] != model.config.feature_dim:
+            raise ValueError(f"record {i} has feature width {record.frames.shape[1]}, "
+                             f"model feature_dim is {model.config.feature_dim}")
+
+
 def evaluate(records: Sequence[VideoRecord], model: Model, loss_params: HuberParams,
              batch_size: int = 128, top_n: int = 20) -> tuple[float, float]:
     """(GAP, mean loss) over the unique videos of a record list."""
@@ -153,11 +161,8 @@ def train(records: Sequence[VideoRecord], val_records: Sequence[VideoRecord],
         raise ValueError("empty training dataset")
     if len(val_records) == 0:
         raise ValueError("empty validation dataset")
-    width = records[0].frames.shape[1]
-    if width != model.config.feature_dim:
-        raise ValueError(
-            f"dataset feature width {width} != model feature_dim {model.config.feature_dim}"
-        )
+    check_feature_width(records, model)
+    check_feature_width(val_records, model)
 
     b = config.batch_size
     spe = steps_per_epoch(n, b)
@@ -235,11 +240,7 @@ def train_phases(plan: PhasePlan, val_records: Sequence[VideoRecord], model: Mod
     curve: list[CurveRow] = []
     result = None
     for phase_records, budget in plan.phases:
-        phase_config = TrainConfig(
-            batch_size=config.batch_size, epoch_budget=budget,
-            eval_every=config.eval_every, seed=config.seed, schedule=config.schedule,
-            loss=config.loss, optimizer=config.optimizer, gap_top_n=config.gap_top_n,
-        )
+        phase_config = replace(config, epoch_budget=budget)
         result = train(phase_records, val_records, model, phase_config,
                        opt_state=opt_state, epoch_offset=offset)
         curve.extend(result.curve)
@@ -283,23 +284,32 @@ def make_checkpoint(model: Model, opt_state: AdamState | None, global_step: int,
 
 
 def restore_checkpoint(cp: Checkpoint) -> tuple[Model, AdamState | None, int, float]:
-    """(model, optimizer state, global step, epoch fraction) from a checkpoint."""
-    config = ModelConfig(**cp.meta["model_config"])
-    model = init_model(config, seed=0)
+    """(model, optimizer state, global step, epoch fraction) from a checkpoint;
+    every array the stored config implies must be there with exactly its shape."""
+    try:
+        model = init_model(ModelConfig(**cp.meta["model_config"]), seed=0)
+        opt = cp.meta["optimizer"]
+        state = None
+        if opt["kind"] == "adam":
+            state = AdamState(beta1=opt["beta1"], beta2=opt["beta2"], eps=opt["eps"],
+                              step=opt["step"])
+        position = cp.meta["global_step"], cp.meta["epoch_fraction"]
+    except (KeyError, TypeError, ValueError) as exc:  # a missing key, or a bad value
+        raise CheckpointFormatError(f"bad checkpoint metadata: {exc!r}") from None
     values = dict(cp.arrays)
+
+    def take(name: str, shape: tuple) -> np.ndarray:
+        found = values[name].shape if name in values else "no such array"
+        if found != shape:
+            raise CheckpointFormatError(f"array {name}: expected shape {shape}, got {found}")
+        return values[name]
+
     for name, arr in parameter_arrays(model):
-        arr[:] = values[name]
-    opt = cp.meta["optimizer"]
-    state = None
-    if opt["kind"] == "adam":
-        state = AdamState(beta1=opt["beta1"], beta2=opt["beta2"], eps=opt["eps"],
-                          step=opt["step"])
-        for name, value in values.items():
-            if name.startswith("adam.m."):
-                state.m[name[len("adam.m."):]] = value.copy()
-            elif name.startswith("adam.v."):
-                state.v[name[len("adam.v."):]] = value.copy()
-    return model, state, cp.meta["global_step"], cp.meta["epoch_fraction"]
+        arr[:] = take(name, arr.shape)
+        if state is not None:
+            state.m[name] = take(f"adam.m.{name}", arr.shape).copy()
+            state.v[name] = take(f"adam.v.{name}", arr.shape).copy()
+    return (model, state) + position
 
 
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}

@@ -269,3 +269,35 @@ def test_train_identical_runs_byte_identical_outputs(tmp_path, capsys):
         assert code == 0, err
         outputs.append((curve.read_bytes(), ckpt.read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+def test_train_concat_netfv_single_tower(tmp_path, capsys):
+    data = gen_dataset(tmp_path, capsys, name="train.vfr", videos=48, seed=1)
+    val = gen_dataset(tmp_path, capsys, name="val.vfr", videos=12, seed=2)
+    code, out, err = run(
+        capsys, "train", "--data", str(data), "--val", str(val), "--pooling", "netfv",
+        "--modality", "concat", "--clusters", "2", "--hidden", "8", "--batch-size", "8",
+        "--epochs", "0.5", "--eval-every", "0.5")
+    assert code == 0, err
+    lines = out.splitlines()
+    assert '"modality": "concat"' in lines[0]
+    assert "steps 3" in lines  # ceil of 0.5 epochs of 48 videos at batch 8
+    gap_line = [line for line in lines if line.startswith("final_val_gap ")]
+    assert len(gap_line) == 1 and 0.0 < float(gap_line[0].split()[1]) <= 1.0
+
+
+def test_eval_checkpoint_with_wrong_shape_single_error_line(tmp_path, capsys):
+    from framepool.trainer import checkpoint_bytes, load_checkpoint
+
+    data = gen_dataset(tmp_path, capsys, name="train.vfr", videos=16, seed=1)
+    ckpt = tmp_path / "model.vpck"
+    code, _, err = run(capsys, "train", "--data", str(data), "--val", str(data),
+                       "--clusters", "2", "--hidden", "3", "--batch-size", "8",
+                       "--epochs", "0.5", "--out-checkpoint", str(ckpt))
+    assert code == 0, err
+    cp = load_checkpoint(str(ckpt))
+    cp.arrays = [(n, a[:1] if n == "hidden_b" else a) for n, a in cp.arrays]
+    ckpt.write_bytes(checkpoint_bytes(cp))
+    code, _, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(data))
+    assert code == 1
+    assert err.splitlines() == ["error: array hidden_b: expected shape (3,), got (1,)"]

@@ -3,18 +3,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framepool.pooling import (
-    EPS_SPREAD,
-    FvParams,
-    VladParams,
-    fv_backward,
-    fv_forward,
-    row_softmax,
-    vlad_backward,
-    vlad_forward,
-)
+from framepool import pooling
+from framepool.pooling import EPS_SPREAD, FvParams, VladParams, row_softmax
 
 from gradcheck import assert_grad_matches
+
+
+def _record_forward(kernel):
+    """A batched forward kernel applied to one (T, D) record as a batch of one."""
+    def forward(frames, params):
+        frames = np.asarray(frames)
+        desc, cache = kernel(frames[None], params, np.array([len(frames)]))
+        return desc[0], cache
+    return forward
+
+
+def _record_backward(kernel):
+    """A batched backward kernel fed one upstream row; dX comes back (T, D)."""
+    def backward(upstream, cache):
+        grads = kernel(np.asarray(upstream)[None], cache)
+        grads.frames = grads.frames[0]
+        return grads
+    return backward
+
+
+vlad_forward = _record_forward(pooling.vlad_forward)
+fv_forward = _record_forward(pooling.fv_forward)
+vlad_backward = _record_backward(pooling.vlad_backward)
+fv_backward = _record_backward(pooling.fv_backward)
 
 
 def make_vlad(rng, d, k):
@@ -71,7 +87,7 @@ def test_vlad_two_cluster_scalar_reference():
     params = VladParams(assign_weights=np.array([[1.0, -1.0]]), assign_bias=np.zeros(2),
                         centers=np.array([[0.0], [2.0]]))
     desc, cache = vlad_forward(np.array([[1.0]]), params)
-    np.testing.assert_allclose(cache.assign, [[0.8807971, 0.1192029]], atol=1e-7)
+    np.testing.assert_allclose(cache.assign[0], [[0.8807971, 0.1192029]], atol=1e-7)
     np.testing.assert_allclose(desc, [0.7071068, -0.7071068], atol=1e-7)
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from framepool.featureio import SyntheticSpec, generate_synthetic
+from framepool.featureio import SyntheticSpec, VideoRecord, generate_synthetic
 from framepool.netmodel import ModelConfig, init_model, parameter_arrays
 from framepool.schedule import FAST_ANNEAL, ScheduleParams, lr_at
 from framepool.trainer import (
@@ -182,6 +182,18 @@ def test_train_rejects_feature_width_mismatch():
         train(records, val, init_model(config, seed=0), small_config())
 
 
+def test_train_rejects_wrong_width_last_val_record_before_step_zero():
+    records = make_records()
+    val = list(make_records(num_videos=12, seed=8))
+    val.append(VideoRecord(id=b"wide", frames=np.zeros((3, D_VIDEO + D_AUDIO + 1), np.float32),
+                           labels=np.array([0])))
+    model = make_model()
+    before = params_of(model)
+    with pytest.raises(ValueError, match="record 12 has feature width 9"):
+        train(records, val, model, small_config())
+    assert_params_equal(before, params_of(model))
+
+
 def test_evaluate_scores_duplicated_videos_once():
     records = make_records(num_videos=30)
     model = make_model()
@@ -349,3 +361,47 @@ def test_curve_csv_layout():
     assert lines[1] == "0.250000,train,0.50000000,0.12500000,0.001"
     assert lines[2] == "0.250000,val,0.40000000,0.25000000,0.001"
     assert text.endswith("\n")
+
+
+def _restore_edited(edit):
+    """restore_checkpoint of a CRC-valid VPCK whose checkpoint was edited first."""
+    records = make_records()
+    val = make_records(num_videos=12, seed=8)
+    config = small_config(epoch_budget=0.2)
+    result = train(records, val, make_model(), config)
+    cp = make_checkpoint(result.model, result.opt_state, result.global_step,
+                         result.epoch_fraction, config)
+    edit(cp)
+    return restore_checkpoint(checkpoint_from_bytes(checkpoint_bytes(cp)))
+
+
+def _replace_array(cp, name, value):
+    cp.arrays = [(n, value if n == name else a) for n, a in cp.arrays]
+
+
+def test_restore_rejects_wrong_shape_instead_of_broadcasting():
+    # hidden_b of an H=8 model stored with shape (1,) used to broadcast silently
+    with pytest.raises(CheckpointFormatError, match=r"hidden_b: expected shape \(8,\)"):
+        _restore_edited(lambda cp: _replace_array(cp, "hidden_b", np.zeros(1)))
+    with pytest.raises(CheckpointFormatError, match="adam.v.out_w"):
+        _restore_edited(lambda cp: _replace_array(cp, "adam.v.out_w", np.zeros((8, 1))))
+
+
+def test_restore_rejects_missing_array():
+    def drop(name):
+        def edit(cp):
+            cp.arrays = [(n, a) for n, a in cp.arrays if n != name]
+        return edit
+
+    with pytest.raises(CheckpointFormatError, match="video_pool.centers"):
+        _restore_edited(drop("video_pool.centers"))
+    with pytest.raises(CheckpointFormatError, match="adam.m.hidden_w"):
+        _restore_edited(drop("adam.m.hidden_w"))
+
+
+def test_restore_rejects_missing_meta_key():
+    for edit in (lambda cp: cp.meta.pop("global_step"),
+                 lambda cp: cp.meta["optimizer"].pop("beta2"),
+                 lambda cp: cp.meta["model_config"].pop("hidden_size")):
+        with pytest.raises(CheckpointFormatError, match="metadata"):
+            _restore_edited(edit)
