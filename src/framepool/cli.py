@@ -14,7 +14,13 @@ import dataclasses
 import json
 import sys
 
-from .featureio import SyntheticSpec, generate_synthetic, load_dataset, save_dataset
+from .featureio import (
+    SyntheticSpec,
+    atomic_write,
+    generate_synthetic,
+    load_dataset,
+    save_dataset,
+)
 from .losses import HuberParams
 from .metrics import (
     GapConfig,
@@ -52,114 +58,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
-_GEN_DEFAULTS = {
-    "videos": 1000, "vocab": 50, "d_video": 32, "d_audio": 8,
-    "t_min": 4, "t_max": 12, "labels_min": 1, "labels_max": 3,
-    "imbalance_exponent": 1.5, "noise_scale": 0.05, "seed": 0, "out": None,
-}
-_STATS_DEFAULTS = {"data": None, "out": None}
-_REBALANCE_DEFAULTS = {
-    "data": None, "mode": None, "rank_threshold": None, "multiplier": 3, "out": None,
-}
-_TRAIN_DEFAULTS = {
-    "data": None, "val": None, "phase2_data": None, "phase2_epochs": None,
-    "pooling": "netvlad", "clusters": 8, "audio_clusters": 0, "hidden": 64,
-    "modality": "separate", "batch_size": 32, "epochs": 2.5, "eval_every": 0.25,
-    "seed": 0, "optimizer": "adam", "delta": 1.0, "top_n": 20,
-    "output_prior": None, "preset": None, "initial_lr": None, "decay": None,
-    "decay_per_epoch": None, "staircase": None, "out_curve": None,
-    "out_checkpoint": None,
-}
-_EVAL_DEFAULTS = {
-    "predictions": None, "truth": None, "checkpoint": None, "data": None,
-    "top_n": 20, "out_miss": None, "out_predictions": None,
-}
-_LR_CURVE_DEFAULTS = {
-    "preset": None, "initial_lr": None, "decay": None, "decay_per_epoch": None,
-    "staircase": None, "epochs": 3.0, "step": 0.25, "out": None,
-}
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="framepool", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
+    for command, (_, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override its keys")
-        return p
-
-    p = add("gen", "write a synthetic dataset file")
-    p.add_argument("--videos", type=int)
-    p.add_argument("--vocab", type=int)
-    p.add_argument("--d-video", type=int)
-    p.add_argument("--d-audio", type=int)
-    p.add_argument("--t-min", type=int)
-    p.add_argument("--t-max", type=int)
-    p.add_argument("--labels-min", type=int)
-    p.add_argument("--labels-max", type=int)
-    p.add_argument("--imbalance-exponent", type=float)
-    p.add_argument("--noise-scale", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-
-    p = add("stats", "label frequency table for a dataset")
-    p.add_argument("--data")
-    p.add_argument("--out")
-
-    p = add("rebalance", "derive a tail or hard-pattern subset")
-    p.add_argument("--data")
-    p.add_argument("--mode", choices=["tail", "hard"])
-    p.add_argument("--rank-threshold", type=int)
-    p.add_argument("--multiplier", type=int)
-    p.add_argument("--out")
-
-    p = add("train", "train a model, optionally in two phases")
-    p.add_argument("--data")
-    p.add_argument("--val")
-    p.add_argument("--phase2-data")
-    p.add_argument("--phase2-epochs", type=float)
-    p.add_argument("--pooling", choices=["netvlad", "netfv"])
-    p.add_argument("--clusters", type=int)
-    p.add_argument("--audio-clusters", type=int)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--modality", choices=["separate", "concat"])
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--epochs", type=float)
-    p.add_argument("--eval-every", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--optimizer", choices=["adam", "sgd"])
-    p.add_argument("--delta", type=float)
-    p.add_argument("--top-n", type=int)
-    p.add_argument("--output-prior", type=float,
-                   help="start every output probability here instead of 0.5")
-    p.add_argument("--preset", choices=sorted(PRESETS))
-    p.add_argument("--initial-lr", type=float)
-    p.add_argument("--decay", type=float)
-    p.add_argument("--decay-per-epoch", type=float)
-    p.add_argument("--staircase", action=argparse.BooleanOptionalAction)
-    p.add_argument("--out-curve")
-    p.add_argument("--out-checkpoint")
-
-    p = add("eval", "GAP plus missed-label report from CSVs or a checkpoint")
-    p.add_argument("--predictions")
-    p.add_argument("--truth")
-    p.add_argument("--checkpoint")
-    p.add_argument("--data")
-    p.add_argument("--top-n", type=int)
-    p.add_argument("--out-miss")
-    p.add_argument("--out-predictions")
-
-    p = add("lr-curve", "emit a learning-rate schedule as CSV")
-    p.add_argument("--preset", choices=sorted(PRESETS))
-    p.add_argument("--initial-lr", type=float)
-    p.add_argument("--decay", type=float)
-    p.add_argument("--decay-per-epoch", type=float)
-    p.add_argument("--staircase", action=argparse.BooleanOptionalAction)
-    p.add_argument("--epochs", type=float)
-    p.add_argument("--step", type=float)
-    p.add_argument("--out")
-
+        for name, kind, _, *option_help in options:
+            if kind is bool:
+                how = {"action": argparse.BooleanOptionalAction}
+            elif isinstance(kind, tuple):
+                how = {"choices": kind}
+            else:
+                how = {"type": kind}
+            p.add_argument("--" + name.replace("_", "-"),
+                           help=option_help[0] if option_help else None, **how)
     return parser
 
 
@@ -192,19 +105,15 @@ def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w") as sink:
+        with atomic_write(path, "w") as sink:
             sink.write(text)
 
 
 def _resolve_schedule(cfg: dict) -> ScheduleParams:
-    base = PRESETS[cfg["preset"]] if cfg["preset"] else PRESETS["slow"]
-    return ScheduleParams(
-        initial_lr=base.initial_lr if cfg["initial_lr"] is None else cfg["initial_lr"],
-        decay=base.decay if cfg["decay"] is None else cfg["decay"],
-        decay_per_epoch=(base.decay_per_epoch if cfg["decay_per_epoch"] is None
-                         else cfg["decay_per_epoch"]),
-        staircase=base.staircase if cfg["staircase"] is None else cfg["staircase"],
-    )
+    """The --preset schedule (slow when none is given), with each given field over it."""
+    given = {key: cfg[key] for key in ("initial_lr", "decay", "decay_per_epoch", "staircase")
+             if cfg[key] is not None}
+    return dataclasses.replace(PRESETS[cfg["preset"] or "slow"], **given)
 
 
 def cmd_gen(cfg: dict) -> int:
@@ -343,21 +252,88 @@ def cmd_lr_curve(cfg: dict) -> int:
     return 0
 
 
+# One table per subcommand: (handler, help, options).  Each option is (name,
+# type, default[, help]); the flag is --name with dashes and the --config key is
+# the name itself.  A tuple type lists the choices; bool gives --x/--no-x.
 _COMMANDS = {
-    "gen": (cmd_gen, _GEN_DEFAULTS),
-    "stats": (cmd_stats, _STATS_DEFAULTS),
-    "rebalance": (cmd_rebalance, _REBALANCE_DEFAULTS),
-    "train": (cmd_train, _TRAIN_DEFAULTS),
-    "eval": (cmd_eval, _EVAL_DEFAULTS),
-    "lr-curve": (cmd_lr_curve, _LR_CURVE_DEFAULTS),
+    "gen": (cmd_gen, "write a synthetic dataset file", [
+        ("videos", int, 1000),
+        ("vocab", int, 50),
+        ("d_video", int, 32),
+        ("d_audio", int, 8),
+        ("t_min", int, 4),
+        ("t_max", int, 12),
+        ("labels_min", int, 1),
+        ("labels_max", int, 3),
+        ("imbalance_exponent", float, 1.5),
+        ("noise_scale", float, 0.05),
+        ("seed", int, 0),
+        ("out", str, None),
+    ]),
+    "stats": (cmd_stats, "label frequency table for a dataset", [
+        ("data", str, None),
+        ("out", str, None),
+    ]),
+    "rebalance": (cmd_rebalance, "derive a tail or hard-pattern subset", [
+        ("data", str, None),
+        ("mode", ("tail", "hard"), None),
+        ("rank_threshold", int, None),
+        ("multiplier", int, 3),
+        ("out", str, None),
+    ]),
+    "train": (cmd_train, "train a model, optionally in two phases", [
+        ("data", str, None),
+        ("val", str, None),
+        ("phase2_data", str, None),
+        ("phase2_epochs", float, None),
+        ("pooling", ("netvlad", "netfv"), "netvlad"),
+        ("clusters", int, 8),
+        ("audio_clusters", int, 0),
+        ("hidden", int, 64),
+        ("modality", ("separate", "concat"), "separate"),
+        ("batch_size", int, 32),
+        ("epochs", float, 2.5),
+        ("eval_every", float, 0.25),
+        ("seed", int, 0),
+        ("optimizer", ("adam", "sgd"), "adam"),
+        ("delta", float, 1.0),
+        ("top_n", int, 20),
+        ("output_prior", float, None, "start every output probability here instead of 0.5"),
+        ("preset", tuple(sorted(PRESETS)), None),
+        ("initial_lr", float, None),
+        ("decay", float, None),
+        ("decay_per_epoch", float, None),
+        ("staircase", bool, None),
+        ("out_curve", str, None),
+        ("out_checkpoint", str, None),
+    ]),
+    "eval": (cmd_eval, "GAP plus missed-label report from CSVs or a checkpoint", [
+        ("predictions", str, None),
+        ("truth", str, None),
+        ("checkpoint", str, None),
+        ("data", str, None),
+        ("top_n", int, 20),
+        ("out_miss", str, None),
+        ("out_predictions", str, None),
+    ]),
+    "lr-curve": (cmd_lr_curve, "emit a learning-rate schedule as CSV", [
+        ("preset", tuple(sorted(PRESETS)), None),
+        ("initial_lr", float, None),
+        ("decay", float, None),
+        ("decay_per_epoch", float, None),
+        ("staircase", bool, None),
+        ("epochs", float, 3.0),
+        ("step", float, 0.25),
+        ("out", str, None),
+    ]),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    handler, defaults = _COMMANDS[args.command]
+    handler, _, options = _COMMANDS[args.command]
     try:
-        cfg = _effective(args, defaults)
+        cfg = _effective(args, {name: default for name, _, default, *_ in options})
         _banner(args.command, cfg)
         return handler(cfg)
     except (ValueError, OSError, json.JSONDecodeError) as exc:

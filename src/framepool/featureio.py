@@ -25,6 +25,8 @@ recoverable, which gives end-to-end training a known-achievable target.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 from dataclasses import dataclass
 from typing import BinaryIO, Iterator, Sequence
@@ -178,8 +180,22 @@ def read_dataset(source: BinaryIO) -> tuple[DatasetHeader, Iterator[VideoRecord]
     return header, records()
 
 
+@contextlib.contextmanager
+def atomic_write(path: str, mode: str = "wb"):
+    """A file opened beside `path` that replaces it only once the block has
+    completed, so a write that fails partway leaves the old file as it was."""
+    temp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(temp, mode) as sink:
+            yield sink
+        os.replace(temp, path)
+    finally:
+        if os.path.exists(temp):
+            os.remove(temp)
+
+
 def save_dataset(path: str, records: Sequence[VideoRecord], header: DatasetHeader) -> int:
-    with open(path, "wb") as sink:
+    with atomic_write(path) as sink:
         return write_dataset(records, header, sink)
 
 

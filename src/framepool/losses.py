@@ -16,19 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MEAN_REDUCTION = "mean_over_batch_and_labels"
-
-
 @dataclass(frozen=True)
 class HuberParams:
     delta: float = 1.0
-    reduction: str = MEAN_REDUCTION
 
     def validate(self) -> None:
         if not self.delta > 0:
             raise ValueError(f"delta must be > 0, got {self.delta}")
-        if self.reduction != MEAN_REDUCTION:
-            raise ValueError(f"unsupported reduction {self.reduction!r}")
 
 
 def huber_scalar(a, delta: float):

@@ -11,19 +11,26 @@ Separate mode exists because the wide concatenated configuration at
 challenge-scale dimensions breaks the 1 GB single-model budget that
 check_size_limit enforces; both modes share all other machinery.
 
+The parameter layout is decided here alone.  param_spec lists every trainable
+array by name and shape: per tower the assignment weights, assignment bias,
+centers and (NetFV) spreads, then the hidden and output layers.  All of them
+live in one contiguous float64 vector in that order; a Model reads and writes
+them through named views, model_backward returns the gradient in the same
+layout, and the optimizer and the checkpoint work on that layout too.
+
 Everything differentiable here is backed by a hand-written backward pass;
 tests pin each piece to finite differences.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .pooling import (
     FvParams,
-    PoolGradients,
     VladParams,
     fv_backward,
     fv_forward,
@@ -52,18 +59,12 @@ class ModelConfig:
             raise ValueError(f"pooling_kind must be one of {POOLING_KINDS}")
         if self.modality_mode not in MODALITY_MODES:
             raise ValueError(f"modality_mode must be one of {MODALITY_MODES}")
-        if self.cluster_size < 1:
-            raise ValueError(f"cluster_size must be >= 1, got {self.cluster_size}")
-        if self.hidden_size < 1:
-            raise ValueError(f"hidden_size must be >= 1, got {self.hidden_size}")
-        if self.d_video < 1:
-            raise ValueError(f"d_video must be >= 1, got {self.d_video}")
-        if self.d_audio < 0:
-            raise ValueError(f"d_audio must be >= 0, got {self.d_audio}")
-        if self.vocab_size < 1:
-            raise ValueError(f"vocab_size must be >= 1, got {self.vocab_size}")
-        if self.audio_cluster_size < 0:
-            raise ValueError(f"audio_cluster_size must be >= 0, got {self.audio_cluster_size}")
+        # the type check matters for a config read back from a checkpoint or a JSON file
+        for name, low in (("cluster_size", 1), ("hidden_size", 1), ("d_video", 1),
+                          ("d_audio", 0), ("vocab_size", 1), ("audio_cluster_size", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
     @property
     def feature_dim(self) -> int:
@@ -93,63 +94,103 @@ class ModelConfig:
         return width
 
 
-@dataclass
+ParamSpec = list[tuple[str, tuple[int, ...]]]
+
+
+def param_spec(config: ModelConfig) -> ParamSpec:
+    """(name, shape) of every trainable array, in the order they take in the
+    flat parameter vector and in a checkpoint; names are stable identifiers."""
+    config.validate()
+
+    def tower(prefix: str, d: int, k: int) -> ParamSpec:
+        spec = [(f"{prefix}.assign_weights", (d, k)), (f"{prefix}.assign_bias", (k,)),
+                (f"{prefix}.centers", (k, d))]
+        if config.pooling_kind == "netfv":
+            spec.append((f"{prefix}.spreads", (k, d)))
+        return spec
+
+    if config.modality_mode == "concatenated":
+        spec = tower("video_pool", config.feature_dim, config.cluster_size)
+    else:
+        spec = tower("video_pool", config.d_video, config.cluster_size)
+        if config.has_audio_tower:
+            spec += tower("audio_pool", config.d_audio, config.effective_audio_clusters)
+    h, labels = config.hidden_size, config.vocab_size
+    return spec + [("hidden_w", (config.pooled_dim, h)), ("hidden_b", (h,)),
+                   ("out_w", (h, labels)), ("out_b", (labels,))]
+
+
+def param_views(flat: np.ndarray, config: ModelConfig) -> dict[str, np.ndarray]:
+    """Each array of param_spec(config), by name, as a view into a flat vector."""
+    views, start = {}, 0
+    for name, shape in param_spec(config):
+        size = math.prod(shape)
+        views[name] = flat[start:start + size].reshape(shape)
+        start += size
+    if flat.shape != (start,):
+        raise ValueError(f"flat vector has shape {flat.shape}, the layout needs ({start},)")
+    return views
+
+
+def parameter_count(config: ModelConfig) -> int:
+    """Total size of param_spec(config); allocates nothing."""
+    return sum(math.prod(shape) for _, shape in param_spec(config))
+
+
 class Model:
-    config: ModelConfig
-    video_pool: VladParams  # FvParams when pooling_kind == "netfv"
-    audio_pool: VladParams | None
-    hidden_w: np.ndarray  # (pooled_dim, H)
-    hidden_b: np.ndarray  # (H,)
-    out_w: np.ndarray  # (H, L)
-    out_b: np.ndarray  # (L,)
+    """A classifier's parameters: one contiguous float64 vector in param_spec
+    order, read and written through named views.
+
+    The pooling towers are VladParams (FvParams for NetFV) over the same views,
+    so an in-place update of `flat` is seen by every kernel.  `floored` holds
+    the views of `flat` that must stay at or above EPS_SPREAD: the NetFV
+    spreads, empty for NetVLAD.
+    """
+
+    def __init__(self, config: ModelConfig, flat: np.ndarray | None = None):
+        self.config = config
+        self.flat = np.zeros(parameter_count(config)) if flat is None else flat
+        self.arrays = param_views(self.flat, config)
+        towers: dict[str, dict[str, np.ndarray]] = {}
+        for name, view in self.arrays.items():
+            tower, _, field = name.rpartition(".")
+            if tower:
+                towers.setdefault(tower, {})[field] = view
+        pool = FvParams if config.pooling_kind == "netfv" else VladParams
+        self.video_pool = pool(**towers["video_pool"])
+        self.audio_pool = pool(**towers["audio_pool"]) if "audio_pool" in towers else None
+        self.hidden_w = self.arrays["hidden_w"]  # (pooled_dim, H)
+        self.hidden_b = self.arrays["hidden_b"]  # (H,)
+        self.out_w = self.arrays["out_w"]  # (H, L)
+        self.out_b = self.arrays["out_b"]  # (L,)
+        self.floored = [fields["spreads"] for fields in towers.values() if "spreads" in fields]
 
 
 @dataclass
 class ModelGradients:
-    video_pool: PoolGradients
-    audio_pool: PoolGradients | None
-    hidden_w: np.ndarray
-    hidden_b: np.ndarray
-    out_w: np.ndarray
-    out_b: np.ndarray
+    flat: np.ndarray  # gradient of Model.flat, in the same layout
+    arrays: dict[str, np.ndarray]  # named views into flat, as Model.arrays
     frames: list[np.ndarray]  # per record, input-shaped dX
 
 
-def _init_tower(rng: np.random.Generator, kind: str, d: int, k: int):
-    # 1/sqrt(fan_in) keeps assignment logits at unit scale; centers match the
-    # roughly unit-norm rows the synthetic generator emits (entries ~ 1/sqrt(d)).
-    scale = 1.0 / np.sqrt(d)
-    weights = scale * rng.standard_normal((d, k))
-    bias = np.zeros(k)
-    centers = scale * rng.standard_normal((k, d))
-    if kind == "netfv":
-        return FvParams(assign_weights=weights, assign_bias=bias, centers=centers,
-                        spreads=np.ones((k, d)))
-    return VladParams(assign_weights=weights, assign_bias=bias, centers=centers)
-
-
 def init_model(config: ModelConfig, seed: int) -> Model:
-    """Deterministic initialization; fixed draw order, biases zero."""
-    config.validate()
+    """Deterministic initialization: draws in param_spec order, biases zero,
+    spreads one."""
+    model = Model(config)
     rng = np.random.default_rng(seed)
-    if config.modality_mode == "concatenated":
-        video_pool = _init_tower(rng, config.pooling_kind, config.feature_dim,
-                                 config.cluster_size)
-        audio_pool = None
-    else:
-        video_pool = _init_tower(rng, config.pooling_kind, config.d_video,
-                                 config.cluster_size)
-        audio_pool = (_init_tower(rng, config.pooling_kind, config.d_audio,
-                                  config.effective_audio_clusters)
-                      if config.has_audio_tower else None)
-    pooled = config.pooled_dim
-    hidden_w = rng.standard_normal((pooled, config.hidden_size)) / np.sqrt(pooled)
-    hidden_b = np.zeros(config.hidden_size)
-    out_w = rng.standard_normal((config.hidden_size, config.vocab_size)) / np.sqrt(
-        config.hidden_size)
-    out_b = np.zeros(config.vocab_size)
-    return Model(config=config, video_pool=video_pool, audio_pool=audio_pool,
-                 hidden_w=hidden_w, hidden_b=hidden_b, out_w=out_w, out_b=out_b)
+    for name, arr in model.arrays.items():
+        field = name.rpartition(".")[2]
+        # 1/sqrt(fan_in) keeps assignment logits at unit scale; centers match the
+        # roughly unit-norm rows the synthetic generator emits (entries ~ 1/sqrt(d)).
+        if field == "assign_weights":
+            arr[:] = (1.0 / np.sqrt(arr.shape[0])) * rng.standard_normal(arr.shape)
+        elif field == "centers":
+            arr[:] = (1.0 / np.sqrt(arr.shape[1])) * rng.standard_normal(arr.shape)
+        elif field == "spreads":
+            arr[:] = 1.0
+        elif field in ("hidden_w", "out_w"):
+            arr[:] = rng.standard_normal(arr.shape) / np.sqrt(arr.shape[0])
+    return model
 
 
 def set_output_prior(model: Model, prior: float) -> None:
@@ -164,66 +205,6 @@ def set_output_prior(model: Model, prior: float) -> None:
     if not 0.0 < prior < 1.0:
         raise ValueError(f"prior must be in (0, 1), got {prior}")
     model.out_b[:] = np.log(prior / (1.0 - prior))
-
-
-def parameter_arrays(model: Model) -> list[tuple[str, np.ndarray]]:
-    """All trainable arrays in a fixed order; names are stable identifiers."""
-    out: list[tuple[str, np.ndarray]] = []
-    towers = [("video_pool", model.video_pool)]
-    if model.audio_pool is not None:
-        towers.append(("audio_pool", model.audio_pool))
-    for prefix, tower in towers:
-        out.append((f"{prefix}.assign_weights", tower.assign_weights))
-        out.append((f"{prefix}.assign_bias", tower.assign_bias))
-        out.append((f"{prefix}.centers", tower.centers))
-        if isinstance(tower, FvParams):
-            out.append((f"{prefix}.spreads", tower.spreads))
-    out.append(("hidden_w", model.hidden_w))
-    out.append(("hidden_b", model.hidden_b))
-    out.append(("out_w", model.out_w))
-    out.append(("out_b", model.out_b))
-    return out
-
-
-def gradient_arrays(grads: ModelGradients, model: Model) -> list[tuple[str, np.ndarray]]:
-    """Gradient arrays in the same order and naming as parameter_arrays."""
-    out: list[tuple[str, np.ndarray]] = []
-    towers = [("video_pool", grads.video_pool, model.video_pool)]
-    if model.audio_pool is not None:
-        towers.append(("audio_pool", grads.audio_pool, model.audio_pool))
-    for prefix, g, params in towers:
-        out.append((f"{prefix}.assign_weights", g.assign_weights))
-        out.append((f"{prefix}.assign_bias", g.assign_bias))
-        out.append((f"{prefix}.centers", g.centers))
-        if isinstance(params, FvParams):
-            out.append((f"{prefix}.spreads", g.spreads))
-    out.append(("hidden_w", grads.hidden_w))
-    out.append(("hidden_b", grads.hidden_b))
-    out.append(("out_w", grads.out_w))
-    out.append(("out_b", grads.out_b))
-    return out
-
-
-def parameter_count(config: ModelConfig) -> int:
-    """Closed-form parameter total; must equal enumerating parameter_arrays."""
-    config.validate()
-
-    def tower(d: int, k: int) -> int:
-        n = d * k + k + k * d  # assignment weights + bias + centers
-        if config.pooling_kind == "netfv":
-            n += k * d  # spreads
-        return n
-
-    if config.modality_mode == "concatenated":
-        total = tower(config.feature_dim, config.cluster_size)
-    else:
-        total = tower(config.d_video, config.cluster_size)
-        if config.has_audio_tower:
-            total += tower(config.d_audio, config.effective_audio_clusters)
-    pooled = config.pooled_dim
-    total += pooled * config.hidden_size + config.hidden_size
-    total += config.hidden_size * config.vocab_size + config.vocab_size
-    return total
 
 
 def size_bytes(config: ModelConfig, bytes_per_param: int = 4) -> int:
@@ -332,6 +313,13 @@ def model_backward(dprobs: np.ndarray, cache: ForwardCache) -> ModelGradients:
         audio = pool_backward(d_pooled[:, video_width:], cache.audio_cache)
     video = pool_backward(d_pooled[:, :video_width], cache.video_cache)
     dframes = video.frames if audio is None else np.concatenate([video.frames, audio.frames], 2)
-    return ModelGradients(video_pool=video, audio_pool=audio, hidden_w=d_hidden_w,
-                          hidden_b=d_hidden_b, out_w=d_out_w, out_b=d_out_b,
+
+    flat = np.empty(model.flat.size)
+    arrays = param_views(flat, cfg)
+    towers = {"video_pool": video, "audio_pool": audio}
+    head = {"hidden_w": d_hidden_w, "hidden_b": d_hidden_b, "out_w": d_out_w, "out_b": d_out_b}
+    for name, view in arrays.items():
+        tower, _, field = name.rpartition(".")
+        view[...] = getattr(towers[tower], field) if tower else head[name]
+    return ModelGradients(flat=flat, arrays=arrays,
                           frames=[row[:t] for row, t in zip(dframes, cache.lengths)])

@@ -1,92 +1,90 @@
-"""Adam and plain SGD over named parameter arrays.
+"""Adam and plain SGD over a model's flat parameter vector.
 
-Both optimizers mutate parameter arrays in place and work on (name, array)
-pairs so they stay independent of the model structure.  After every update,
-arrays whose name ends in ".spreads" are projected back to the positivity
-floor EPS_SPREAD; keeping that constraint by projection rather than
+Parameters, gradients and Adam's two moments share one layout (netmodel's
+param_spec), so a step is a few whole-vector elementwise operations, and
+bit-identical to stepping each named array on its own.  After every update
+the model's floored views, the NetFV spreads, are projected back to the
+positivity floor EPS_SPREAD; keeping that constraint by projection rather than
 reparameterization keeps the gradients directly checkable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .netmodel import Model, ModelGradients, gradient_arrays, parameter_arrays
+from .netmodel import Model, ModelGradients
 from .pooling import EPS_SPREAD
-
-NamedArrays = list[tuple[str, np.ndarray]]
 
 
 @dataclass
 class AdamState:
+    m: np.ndarray  # first moment, in the layout of the parameter vector
+    v: np.ndarray  # second moment, likewise
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def _check_gradients(grads: NamedArrays) -> None:
-    for name, g in grads:
-        if not np.isfinite(g).all():
-            raise ValueError(f"non-finite gradient in {name}")
+def _check_shapes(*vectors: np.ndarray) -> None:
+    shapes = {vector.shape for vector in vectors}
+    if len(shapes) != 1:
+        raise ValueError(f"parameter, gradient and moment shapes differ: {sorted(shapes)}")
 
 
-def _project_spreads(params: NamedArrays) -> None:
-    for name, arr in params:
-        if name.endswith(".spreads"):
-            np.maximum(arr, EPS_SPREAD, out=arr)
+def _check_finite(grads: ModelGradients) -> None:
+    if not np.isfinite(grads.flat).all():
+        name = next(name for name, g in grads.arrays.items() if not np.isfinite(g).all())
+        raise ValueError(f"non-finite gradient in {name}")
 
 
-def adam_update_arrays(params: NamedArrays, grads: NamedArrays,
-                       state: AdamState, lr: float) -> None:
-    """One bias-corrected Adam step, in place, then the spread projection."""
+def _floor(floored: Sequence[np.ndarray]) -> None:
+    for arr in floored:
+        np.maximum(arr, EPS_SPREAD, out=arr)
+
+
+def adam_update(w: np.ndarray, g: np.ndarray, state: AdamState, lr: float,
+                floored: Sequence[np.ndarray] = ()) -> None:
+    """One bias-corrected Adam step on the vector w, in place, then the floor
+    on `floored` (views into w)."""
     if not lr > 0:
         raise ValueError(f"lr must be > 0, got {lr}")
-    _check_gradients(grads)
+    _check_shapes(w, g, state.m, state.v)
     state.step += 1
     t = state.step
     bc1 = 1.0 - state.beta1**t
     bc2 = 1.0 - state.beta2**t
-    for (name, w), (gname, g) in zip(params, grads):
-        if name != gname or w.shape != g.shape:
-            raise ValueError(f"parameter/gradient mismatch at {name} vs {gname}")
-        m = state.m.setdefault(name, np.zeros_like(w))
-        v = state.v.setdefault(name, np.zeros_like(w))
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        w -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-    _project_spreads(params)
+    m, v = state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * g
+    v *= state.beta2
+    v += (1.0 - state.beta2) * (g * g)
+    w -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    _floor(floored)
 
 
-def sgd_update_arrays(params: NamedArrays, grads: NamedArrays, lr: float) -> None:
-    """w <- w - lr * g, in place, then the spread projection."""
+def sgd_update(w: np.ndarray, g: np.ndarray, lr: float,
+               floored: Sequence[np.ndarray] = ()) -> None:
+    """w <- w - lr * g, in place, then the floor on `floored` (views into w)."""
     if lr < 0:
         raise ValueError(f"lr must be >= 0, got {lr}")
-    _check_gradients(grads)
-    for (name, w), (gname, g) in zip(params, grads):
-        if name != gname or w.shape != g.shape:
-            raise ValueError(f"parameter/gradient mismatch at {name} vs {gname}")
-        w -= lr * g
-    _project_spreads(params)
+    _check_shapes(w, g)
+    w -= lr * g
+    _floor(floored)
 
 
 def init_adam_state(model: Model) -> AdamState:
-    state = AdamState()
-    for name, arr in parameter_arrays(model):
-        state.m[name] = np.zeros_like(arr)
-        state.v[name] = np.zeros_like(arr)
-    return state
+    return AdamState(m=np.zeros_like(model.flat), v=np.zeros_like(model.flat))
 
 
 def adam_step(model: Model, grads: ModelGradients, state: AdamState, lr: float) -> None:
-    adam_update_arrays(parameter_arrays(model), gradient_arrays(grads, model), state, lr)
+    _check_finite(grads)
+    adam_update(model.flat, grads.flat, state, lr, model.floored)
 
 
 def sgd_step(model: Model, grads: ModelGradients, lr: float) -> None:
-    sgd_update_arrays(parameter_arrays(model), gradient_arrays(grads, model), lr)
+    _check_finite(grads)
+    sgd_update(model.flat, grads.flat, lr, model.floored)

@@ -10,7 +10,9 @@ replaying the steps before it, which is what makes checkpoint resume exact.
 
 Checkpoint container ("VPCK"): u32 version, length-prefixed JSON metadata,
 then length-prefixed named float arrays, then CRC-32 over everything before
-it.  The CRC is verified before any parsing.
+it.  The CRC is verified before any parsing, and a body that passes it but is
+malformed still raises CheckpointFormatError.  save_checkpoint writes beside
+the target and moves the file into place only once it is complete.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .featureio import VideoRecord
+from .featureio import VideoRecord, atomic_write
 from .losses import HuberParams, multilabel_loss
 from .metrics import GapConfig, gap
-from .netmodel import Model, ModelConfig, init_model, model_backward, model_forward, parameter_arrays
+from .netmodel import Model, ModelConfig, model_backward, model_forward, param_spec, param_views
 from .optim import AdamState, adam_step, init_adam_state, sgd_step
 from .schedule import ScheduleParams, SLOW_ANNEAL, lr_at
 
@@ -274,12 +276,13 @@ def make_checkpoint(model: Model, opt_state: AdamState | None, global_step: int,
         "epoch_fraction": epoch_fraction,
         "rng": {"scheme": "philox(seed, epoch)", "seed": config.seed},
     }
-    arrays = list(parameter_arrays(model))
+    arrays = list(model.arrays.items())
     if opt_state is not None:
         meta["optimizer"].update({"step": opt_state.step, "beta1": opt_state.beta1,
                                   "beta2": opt_state.beta2, "eps": opt_state.eps})
-        arrays += [(f"adam.m.{k}", v) for k, v in opt_state.m.items()]
-        arrays += [(f"adam.v.{k}", v) for k, v in opt_state.v.items()]
+        for prefix, moment in (("adam.m.", opt_state.m), ("adam.v.", opt_state.v)):
+            arrays += [(prefix + name, arr)
+                       for name, arr in param_views(moment, model.config).items()]
     return Checkpoint(meta=meta, arrays=arrays)
 
 
@@ -287,28 +290,30 @@ def restore_checkpoint(cp: Checkpoint) -> tuple[Model, AdamState | None, int, fl
     """(model, optimizer state, global step, epoch fraction) from a checkpoint;
     every array the stored config implies must be there with exactly its shape."""
     try:
-        model = init_model(ModelConfig(**cp.meta["model_config"]), seed=0)
+        config = ModelConfig(**cp.meta["model_config"])
+        spec = param_spec(config)
         opt = cp.meta["optimizer"]
-        state = None
+        hyper = None
         if opt["kind"] == "adam":
-            state = AdamState(beta1=opt["beta1"], beta2=opt["beta2"], eps=opt["eps"],
-                              step=opt["step"])
+            hyper = {key: opt[key] for key in ("beta1", "beta2", "eps", "step")}
         position = cp.meta["global_step"], cp.meta["epoch_fraction"]
     except (KeyError, TypeError, ValueError) as exc:  # a missing key, or a bad value
         raise CheckpointFormatError(f"bad checkpoint metadata: {exc!r}") from None
     values = dict(cp.arrays)
 
-    def take(name: str, shape: tuple) -> np.ndarray:
-        found = values[name].shape if name in values else "no such array"
-        if found != shape:
-            raise CheckpointFormatError(f"array {name}: expected shape {shape}, got {found}")
-        return values[name]
+    def gather(prefix: str) -> np.ndarray:
+        """The arrays named prefix + spec name, checked and laid out flat."""
+        parts = []
+        for name, shape in spec:
+            name = prefix + name
+            found = values[name].shape if name in values else "no such array"
+            if found != shape:
+                raise CheckpointFormatError(f"array {name}: expected shape {shape}, got {found}")
+            parts.append(values[name].ravel())
+        return np.concatenate(parts, dtype=np.float64)
 
-    for name, arr in parameter_arrays(model):
-        arr[:] = take(name, arr.shape)
-        if state is not None:
-            state.m[name] = take(f"adam.m.{name}", arr.shape).copy()
-            state.v[name] = take(f"adam.v.{name}", arr.shape).copy()
+    model = Model(config, gather(""))
+    state = None if hyper is None else AdamState(gather("adam.m."), gather("adam.v."), **hyper)
     return (model, state) + position
 
 
@@ -336,11 +341,21 @@ def checkpoint_bytes(cp: Checkpoint) -> bytes:
 
 
 def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
+    """Parse VPCK bytes; anything malformed raises CheckpointFormatError."""
     if len(blob) < 16:
         raise CheckpointFormatError("file too short to be a checkpoint")
     body, crc_stored = blob[:-4], struct.unpack("<I", blob[-4:])[0]
     if zlib.crc32(body) != crc_stored:  # checked before any parsing
         raise CheckpointFormatError("checksum mismatch, file corrupted or truncated")
+    try:
+        return _parse_body(body)
+    except CheckpointFormatError:
+        raise
+    except (struct.error, ValueError) as exc:  # a short read, bad UTF-8 or bad JSON
+        raise CheckpointFormatError(f"malformed checkpoint: {exc}") from None
+
+
+def _parse_body(body: bytes) -> Checkpoint:
     if body[:4] != CHECKPOINT_MAGIC:
         raise CheckpointFormatError(f"bad magic {body[:4]!r}")
     (version,) = struct.unpack_from("<I", body, 4)
@@ -349,6 +364,8 @@ def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
     (meta_len,) = struct.unpack_from("<I", body, 8)
     offset = 12
     meta = json.loads(body[offset:offset + meta_len].decode())
+    if not isinstance(meta, dict):
+        raise CheckpointFormatError("checkpoint metadata is not a JSON object")
     offset += meta_len
     (n_arrays,) = struct.unpack_from("<I", body, offset)
     offset += 4
@@ -365,7 +382,7 @@ def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
         shape = struct.unpack_from(f"<{ndim}I", body, offset)
         offset += 4 * ndim
         dtype = _CODE_DTYPES[code]
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        nbytes = math.prod(shape) * dtype.itemsize
         arr = np.frombuffer(body[offset:offset + nbytes], dtype=dtype).reshape(shape)
         offset += nbytes
         arrays.append((name, arr.astype(arr.dtype.newbyteorder("="))))
@@ -375,8 +392,9 @@ def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
 
 
 def save_checkpoint(path: str, cp: Checkpoint) -> None:
-    with open(path, "wb") as sink:
-        sink.write(checkpoint_bytes(cp))
+    blob = checkpoint_bytes(cp)
+    with atomic_write(path) as sink:
+        sink.write(blob)
 
 
 def load_checkpoint(path: str) -> Checkpoint:

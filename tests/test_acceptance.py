@@ -23,11 +23,9 @@ from framepool.metrics import gap, gap_bruteforce
 from framepool.netmodel import (
     ModelConfig,
     check_size_limit,
-    gradient_arrays,
     init_model,
     model_backward,
     model_forward,
-    parameter_arrays,
     parameter_count,
     set_output_prior,
     size_bytes,
@@ -99,8 +97,8 @@ def test_criterion_01_end_to_end_gradients():
                 p, _ = model_forward(batch, model)
                 return multilabel_loss(p, targets, loss_params)[0]
 
-            analytic = dict(gradient_arrays(grads, model))
-            for name, arr in parameter_arrays(model):
+            analytic = grads.arrays
+            for name, arr in model.arrays.items():
                 worst = max(worst, max_rel_error(analytic[name], central_diff(loss, arr)))
                 checked += 1
             for j, frames in enumerate(batch):
@@ -377,7 +375,7 @@ def test_criterion_09_size_accounting():
             audio_cluster_size=int(rng.integers(0, 5)),
         )
         model = init_model(config, seed=0)
-        enumerated = sum(arr.size for _, arr in parameter_arrays(model))
+        enumerated = sum(arr.size for arr in model.arrays.values())
         assert parameter_count(config) == enumerated, f"count mismatch for {config}"
 
     concat = ModelConfig(pooling_kind="netvlad", cluster_size=192, hidden_size=1200,
@@ -432,14 +430,10 @@ def test_criterion_10_determinism_and_persistence():
     resumed = train(train_recs, val_recs, model, tc, opt_state=state, start_step=step)
     params_equal = all(
         np.array_equal(a, b)
-        for (_, a), (_, b) in zip(parameter_arrays(first.model),
-                                  parameter_arrays(resumed.model))
+        for a, b in zip(first.model.arrays.values(), resumed.model.arrays.values())
     )
-    moments_equal = all(
-        np.array_equal(first.opt_state.m[name], resumed.opt_state.m[name])
-        and np.array_equal(first.opt_state.v[name], resumed.opt_state.v[name])
-        for name in first.opt_state.m
-    )
+    moments_equal = (np.array_equal(first.opt_state.m, resumed.opt_state.m)
+                     and np.array_equal(first.opt_state.v, resumed.opt_state.v))
     ok = curves_identical and blobs_identical and params_equal and moments_equal
     _report(10, ok,
             f"repeat runs byte-identical (curve {curves_identical}, checkpoint "

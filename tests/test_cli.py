@@ -301,3 +301,28 @@ def test_eval_checkpoint_with_wrong_shape_single_error_line(tmp_path, capsys):
     code, _, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(data))
     assert code == 1
     assert err.splitlines() == ["error: array hidden_b: expected shape (3,), got (1,)"]
+
+
+def test_eval_malformed_checkpoint_single_error_line(tmp_path, capsys):
+    import struct
+    import zlib
+
+    data = gen_dataset(tmp_path, capsys, videos=8)
+    # CRC-valid body: metadata "{}", then one stray byte where the array count belongs
+    body = b"VPCK" + struct.pack("<II", 1, 2) + b"{}" + b"\x00"
+    ckpt = tmp_path / "stray.vpck"
+    ckpt.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    code, _, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(data))
+    assert code == 1
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: malformed checkpoint")
+
+
+def test_train_config_non_integer_clusters_single_error_line(tmp_path, capsys):
+    data = gen_dataset(tmp_path, capsys, videos=8)
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({"clusters": 2.5}))
+    code, _, err = run(capsys, "train", "--config", str(config), "--data", str(data),
+                       "--val", str(data))
+    assert code == 1
+    assert err.splitlines() == ["error: cluster_size must be an integer >= 1, got 2.5"]

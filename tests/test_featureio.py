@@ -12,9 +12,11 @@ from framepool.featureio import (
     DatasetHeader,
     SyntheticSpec,
     VideoRecord,
+    atomic_write,
     generate_synthetic,
     label_prototypes,
     read_dataset,
+    save_dataset,
     write_dataset,
 )
 
@@ -137,6 +139,38 @@ def test_nonfinite_feature_rejected_on_write_and_read():
     with pytest.raises(DatasetFormatError, match="non-finite"):
         _, stream = read_dataset(io.BytesIO(bytes(blob)))
         list(stream)
+
+
+def test_failed_dataset_write_keeps_old_file_and_leaves_no_temp(tmp_path):
+    rng = np.random.default_rng(3)
+    header = DatasetHeader(d_video=3, d_audio=1, vocab_size=5, record_count=20)
+    records = [make_record(rng, header, f"v{i}".encode()) for i in range(20)]
+    path = tmp_path / "data.vfr"
+    save_dataset(str(path), records, header)
+    old = path.read_bytes()
+    # the last record is rejected after the first 19 have been written
+    records[-1] = VideoRecord(id=b"bad", frames=np.full((2, 4), np.nan, dtype=np.float32),
+                              labels=np.array([0]))
+    with pytest.raises(DatasetFormatError, match="record 19: non-finite"):
+        save_dataset(str(path), records, header)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["data.vfr"]
+
+
+def test_atomic_write_replaces_only_on_success(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("old")
+    with pytest.raises(RuntimeError, match="disk full"):
+        with atomic_write(str(path), "w") as sink:
+            sink.write("new, half written")
+            sink.flush()
+            raise RuntimeError("disk full")
+    assert path.read_text() == "old"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+    with atomic_write(str(path), "w") as sink:
+        sink.write("new")
+    assert path.read_text() == "new"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 def test_label_out_of_vocab_rejected():

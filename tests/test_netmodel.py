@@ -8,11 +8,9 @@ from framepool.netmodel import (
     Model,
     ModelConfig,
     check_size_limit,
-    gradient_arrays,
     init_model,
     model_backward,
     model_forward,
-    parameter_arrays,
     parameter_count,
     set_output_prior,
     size_bytes,
@@ -45,7 +43,7 @@ def make_batch(rng, config, lengths=(3, 4)):
 
 def zero_model(config):
     model = init_model(config, seed=0)
-    for _, arr in parameter_arrays(model):
+    for arr in model.arrays.values():
         arr[:] = 0.0
     for tower in (model.video_pool, model.audio_pool):
         if tower is not None and hasattr(tower, "spreads"):
@@ -60,7 +58,7 @@ def test_init_deterministic():
     config = tiny_config("netfv", "separate")
     a = init_model(config, seed=9)
     b = init_model(config, seed=9)
-    for (name_a, arr_a), (_, arr_b) in zip(parameter_arrays(a), parameter_arrays(b)):
+    for (name_a, arr_a), arr_b in zip(a.arrays.items(), b.arrays.values()):
         assert arr_a.tobytes() == arr_b.tobytes(), name_a
 
 
@@ -163,7 +161,7 @@ def test_zero_upstream_zero_gradients():
     rng = np.random.default_rng(8)
     probs, cache = model_forward(make_batch(rng, model.config), model)
     grads = model_backward(np.zeros_like(probs), cache)
-    for name, arr in gradient_arrays(grads, model):
+    for name, arr in grads.arrays.items():
         assert np.all(arr == 0.0), name
 
 
@@ -174,8 +172,8 @@ def test_dead_relu_unit_gets_zero_gradient():
     probs, cache = model_forward(make_batch(rng, model.config), model)
     assert np.all(cache.hidden_pre[:, 1] < 0)
     grads = model_backward(rng.standard_normal(probs.shape), cache)
-    assert np.all(grads.hidden_w[:, 1] == 0.0)
-    assert grads.hidden_b[1] == 0.0
+    assert np.all(grads.arrays["hidden_w"][:, 1] == 0.0)
+    assert grads.arrays["hidden_b"][1] == 0.0
 
 
 @pytest.mark.parametrize("kind", ["netvlad", "netfv"])
@@ -195,8 +193,8 @@ def test_end_to_end_gradients_match_finite_differences(kind, mode):
         p, _ = model_forward(batch, model)
         return multilabel_loss(p, targets, loss_params)[0]
 
-    grad_map = dict(gradient_arrays(grads, model))
-    for name, arr in parameter_arrays(model):
+    grad_map = grads.arrays
+    for name, arr in model.arrays.items():
         assert_grad_matches(grad_map[name], loss, arr, name)
     for i, frames in enumerate(batch):
         assert grads.frames[i].shape == frames.shape
@@ -218,7 +216,7 @@ def test_backward_shape_mismatch_rejected():
 @given(config_strategy)
 def test_parameter_count_matches_enumeration(config):
     model = init_model(config, seed=0)
-    total = sum(arr.size for _, arr in parameter_arrays(model))
+    total = sum(arr.size for arr in model.arrays.values())
     assert parameter_count(config) == total
 
 

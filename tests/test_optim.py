@@ -3,80 +3,94 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framepool.netmodel import ModelConfig, init_model, parameter_arrays
+from framepool.losses import multilabel_loss
+from framepool.netmodel import ModelConfig, init_model, model_backward, model_forward
 from framepool.optim import (
     AdamState,
     adam_step,
-    adam_update_arrays,
+    adam_update,
     init_adam_state,
-    sgd_update_arrays,
+    sgd_step,
+    sgd_update,
 )
 from framepool.pooling import EPS_SPREAD
 
 
-def scalar_params(value=0.0):
-    return [("w", np.array([float(value)]))]
+def fresh_state(n):
+    return AdamState(m=np.zeros(n), v=np.zeros(n))
+
+
+def tiny_fv_model_and_grads():
+    config = ModelConfig(pooling_kind="netfv", cluster_size=2, hidden_size=3,
+                         d_video=4, d_audio=2, vocab_size=5, modality_mode="separate",
+                         audio_cluster_size=1)
+    model = init_model(config, seed=0)
+    rng = np.random.default_rng(1)
+    batch = [rng.standard_normal((3, 6)), rng.standard_normal((4, 6))]
+    targets = (rng.uniform(size=(2, 5)) < 0.5).astype(np.int64)
+    probs, cache = model_forward(batch, model)
+    _, dprobs = multilabel_loss(probs, targets)
+    return model, model_backward(dprobs, cache)
 
 
 def test_zero_gradients_leave_parameters_unchanged():
-    params = [("a", np.array([1.0, -2.0])), ("b", np.array([[3.0]]))]
-    grads = [("a", np.zeros(2)), ("b", np.zeros((1, 1)))]
-    state = AdamState()
-    adam_update_arrays(params, grads, state, lr=0.1)
-    np.testing.assert_array_equal(params[0][1], [1.0, -2.0])
-    np.testing.assert_array_equal(params[1][1], [[3.0]])
+    w = np.array([1.0, -2.0, 3.0])
+    state = fresh_state(3)
+    adam_update(w, np.zeros(3), state, lr=0.1)
+    np.testing.assert_array_equal(w, [1.0, -2.0, 3.0])
     assert state.step == 1
 
 
 def test_first_adam_step_moves_by_lr():
-    params = scalar_params(0.0)
-    adam_update_arrays(params, [("w", np.ones(1))], AdamState(), lr=0.1)
-    np.testing.assert_allclose(params[0][1], [-0.1], rtol=1e-7)
+    w = np.zeros(1)
+    adam_update(w, np.ones(1), fresh_state(1), lr=0.1)
+    np.testing.assert_allclose(w, [-0.1], rtol=1e-7)
 
 
 def test_spread_clamp_after_update():
-    params = [("tower.spreads", np.array([EPS_SPREAD * 1.01, 5.0]))]
-    grads = [("tower.spreads", np.array([100.0, -1.0]))]
-    adam_update_arrays(params, grads, AdamState(), lr=0.5)
-    assert params[0][1][0] == EPS_SPREAD  # driven below the floor, clamped exactly
-    assert params[0][1][1] > 5.0
+    w = np.array([EPS_SPREAD * 1.01, 5.0, EPS_SPREAD * 1.01])
+    adam_update(w, np.array([100.0, -1.0, 100.0]), fresh_state(3), lr=0.5, floored=[w[:2]])
+    assert w[0] == EPS_SPREAD  # driven below the floor, clamped exactly
+    assert w[1] > 5.0
+    assert w[2] < EPS_SPREAD  # outside the floored range, not clamped
 
 
 def test_nonfinite_gradient_rejected_with_array_name():
-    params = scalar_params()
-    with pytest.raises(ValueError, match="w"):
-        adam_update_arrays(params, [("w", np.array([np.nan]))], AdamState(), lr=0.1)
-    with pytest.raises(ValueError, match="w"):
-        sgd_update_arrays(params, [("w", np.array([np.inf]))], lr=0.1)
+    model, grads = tiny_fv_model_and_grads()
+    grads.arrays["hidden_b"][0] = np.nan
+    with pytest.raises(ValueError, match="hidden_b"):
+        adam_step(model, grads, init_adam_state(model), lr=0.1)
+    grads.arrays["hidden_b"][0] = 0.0
+    grads.arrays["out_w"][1, 2] = np.inf
+    with pytest.raises(ValueError, match="out_w"):
+        sgd_step(model, grads, lr=0.1)
 
 
 def test_sgd_zero_lr_is_identity():
-    params = scalar_params(1.5)
-    sgd_update_arrays(params, [("w", np.array([10.0]))], lr=0.0)
-    assert params[0][1][0] == 1.5
+    w = np.array([1.5])
+    sgd_update(w, np.array([10.0]), lr=0.0)
+    assert w[0] == 1.5
 
 
 def test_sgd_arithmetic():
-    params = scalar_params(1.0)
-    sgd_update_arrays(params, [("w", np.array([2.0]))], lr=0.5)
-    assert params[0][1][0] == 0.0
+    w = np.array([1.0])
+    sgd_update(w, np.array([2.0]), lr=0.5)
+    assert w[0] == 0.0
 
 
 def test_sgd_converges_on_quadratic():
     # loss (w - 3)^2 / 2, gradient w - 3
-    params = scalar_params(-2.0)
-    w = params[0][1]
+    w = np.array([-2.0])
     for _ in range(200):
-        sgd_update_arrays(params, [("w", w - 3.0)], lr=0.1)
+        sgd_update(w, w - 3.0, lr=0.1)
     assert abs(w[0] - 3.0) < 1e-6
 
 
 def test_adam_converges_on_quadratic():
-    params = scalar_params(-2.0)
-    w = params[0][1]
-    state = AdamState()
+    w = np.array([-2.0])
+    state = fresh_state(1)
     for _ in range(500):
-        adam_update_arrays(params, [("w", w - 3.0)], state, lr=0.1)
+        adam_update(w, w - 3.0, state, lr=0.1)
     assert abs(w[0] - 3.0) < 1e-3
 
 
@@ -88,12 +102,12 @@ def test_adam_step_magnitude_bounded(seed, steps, lr):
     # bound is not exact (correction ratios can overshoot slightly), so a
     # 10% tolerance is used.
     rng = np.random.default_rng(seed)
-    params = [("w", np.zeros(8))]
-    state = AdamState()
+    w = np.zeros(8)
+    state = fresh_state(8)
     for _ in range(steps):
-        before = params[0][1].copy()
-        adam_update_arrays(params, [("w", rng.standard_normal(8))], state, lr)
-        assert np.max(np.abs(params[0][1] - before)) <= lr * 1.1
+        before = w.copy()
+        adam_update(w, rng.standard_normal(8), state, lr)
+        assert np.max(np.abs(w - before)) <= lr * 1.1
 
 
 @settings(max_examples=50)
@@ -103,42 +117,29 @@ def test_updates_deterministic(seed):
     g = rng.standard_normal(4)
     runs = []
     for _ in range(2):
-        params = [("w", np.arange(4.0))]
-        state = AdamState()
+        w = np.arange(4.0)
+        state = fresh_state(4)
         for _ in range(5):
-            adam_update_arrays(params, [("w", g)], state, lr=0.05)
-        runs.append(params[0][1].copy())
+            adam_update(w, g, state, lr=0.05)
+        runs.append(w.copy())
     np.testing.assert_array_equal(runs[0], runs[1])
 
 
 def test_finite_outputs_from_finite_inputs():
-    params = [("w", np.array([1e300, -1e300, 0.0]))]
-    state = AdamState()
+    w = np.array([1e300, -1e300, 0.0])
+    state = fresh_state(3)
     for _ in range(10):
-        adam_update_arrays(params, [("w", np.array([1e30, -1e30, 1e-30]))], state, lr=1.0)
-        assert np.isfinite(params[0][1]).all()
+        adam_update(w, np.array([1e30, -1e30, 1e-30]), state, lr=1.0)
+        assert np.isfinite(w).all()
 
 
 def test_model_level_step_touches_every_array_and_clamps_spreads():
-    config = ModelConfig(pooling_kind="netfv", cluster_size=2, hidden_size=3,
-                         d_video=4, d_audio=2, vocab_size=5, modality_mode="separate",
-                         audio_cluster_size=1)
-    model = init_model(config, seed=0)
+    model, grads = tiny_fv_model_and_grads()
     state = init_adam_state(model)
-    before = {name: arr.copy() for name, arr in parameter_arrays(model)}
-
-    from framepool.losses import multilabel_loss
-    from framepool.netmodel import model_backward, model_forward
-
-    rng = np.random.default_rng(1)
-    batch = [rng.standard_normal((3, 6)), rng.standard_normal((4, 6))]
-    targets = (rng.uniform(size=(2, 5)) < 0.5).astype(np.int64)
-    probs, cache = model_forward(batch, model)
-    _, dprobs = multilabel_loss(probs, targets)
-    grads = model_backward(dprobs, cache)
+    before = {name: arr.copy() for name, arr in model.arrays.items()}
     adam_step(model, grads, state, lr=0.01)
 
-    changed = [name for name, arr in parameter_arrays(model)
+    changed = [name for name, arr in model.arrays.items()
                if not np.array_equal(arr, before[name])]
     assert "hidden_w" in changed and "out_w" in changed
     assert any(name.startswith("video_pool") for name in changed)

@@ -1,12 +1,16 @@
 """Trainer contracts: budget accounting, determinism, phases, checkpoints."""
 
 import math
+import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framepool.featureio import SyntheticSpec, VideoRecord, generate_synthetic
-from framepool.netmodel import ModelConfig, init_model, parameter_arrays
+from framepool.netmodel import Model, ModelConfig, init_model
 from framepool.schedule import FAST_ANNEAL, ScheduleParams, lr_at
 from framepool.trainer import (
     Checkpoint,
@@ -26,9 +30,7 @@ from framepool.trainer import (
     train,
     train_phases,
 )
-
-import struct
-import zlib
+from framepool.optim import init_adam_state
 
 
 VOCAB = 12
@@ -57,7 +59,7 @@ def small_config(**overrides):
 
 
 def params_of(model):
-    return {name: arr.copy() for name, arr in parameter_arrays(model)}
+    return {name: arr.copy() for name, arr in model.arrays.items()}
 
 
 def assert_params_equal(a, b):
@@ -335,9 +337,8 @@ def test_resume_equivalence_50_steps():
 
     assert_params_equal(params_of(straight.model), params_of(resumed.model))
     assert straight.opt_state.step == resumed.opt_state.step
-    for name in straight.opt_state.m:
-        assert np.array_equal(straight.opt_state.m[name], resumed.opt_state.m[name])
-        assert np.array_equal(straight.opt_state.v[name], resumed.opt_state.v[name])
+    assert np.array_equal(straight.opt_state.m, resumed.opt_state.m)
+    assert np.array_equal(straight.opt_state.v, resumed.opt_state.v)
 
 
 def test_training_reduces_loss_on_separable_data():
@@ -405,3 +406,67 @@ def test_restore_rejects_missing_meta_key():
                  lambda cp: cp.meta["model_config"].pop("hidden_size")):
         with pytest.raises(CheckpointFormatError, match="metadata"):
             _restore_edited(edit)
+
+
+def test_restore_rejects_non_integer_dimension():
+    # 2.0 compares equal to 2 in a shape check, so the type must be checked itself
+    def edit(cp):
+        cp.meta["model_config"]["cluster_size"] = 2.0
+
+    with pytest.raises(CheckpointFormatError, match="cluster_size must be an integer"):
+        _restore_edited(edit)
+
+
+def _crc_valid(body: bytes) -> bytes:
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def _netfv_body() -> bytes:
+    """VPCK body (CRC stripped) of a tiny two-tower NetFV model with Adam moments."""
+    config = ModelConfig(pooling_kind="netfv", cluster_size=1, hidden_size=2, d_video=2,
+                         d_audio=1, vocab_size=2)
+    model = init_model(config, seed=0)
+    cp = make_checkpoint(model, init_adam_state(model), 0, 0.0, small_config())
+    return checkpoint_bytes(cp)[:-4]
+
+
+NETFV_BODY = _netfv_body()
+
+_EDIT = st.tuples(st.sampled_from(["replace", "truncate", "insert", "delete"]),
+                  st.one_of(st.integers(0, 120), st.integers(0, len(NETFV_BODY))),
+                  st.integers(0, 255))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_EDIT, min_size=1, max_size=3))
+def test_crc_valid_mutations_raise_format_error_or_restore(edits):
+    body = bytearray(NETFV_BODY)
+    for kind, where, byte in edits:
+        where = min(where, len(body))
+        if kind == "replace" and where < len(body):
+            body[where] = byte
+        elif kind == "truncate":
+            del body[where:]
+        elif kind == "insert":
+            body.insert(where, byte)
+        elif kind == "delete":
+            del body[where:where + 1]
+    try:
+        cp = checkpoint_from_bytes(_crc_valid(bytes(body)))
+        model, _, _, _ = restore_checkpoint(cp)
+    except CheckpointFormatError:
+        return
+    assert isinstance(model, Model)
+
+
+def test_checkpoint_body_errors_are_format_errors():
+    header = b"VPCK" + struct.pack("<I", 1)
+    # metadata "{}" and one stray byte where the array count should be
+    with pytest.raises(CheckpointFormatError, match="malformed"):
+        checkpoint_from_bytes(_crc_valid(header + struct.pack("<I", 2) + b"{}" + b"\x00"))
+    with pytest.raises(CheckpointFormatError, match="not a JSON object"):
+        checkpoint_from_bytes(_crc_valid(header + struct.pack("<I", 2) + b"[]"
+                                         + struct.pack("<I", 0)))
+    with pytest.raises(CheckpointFormatError, match="malformed"):
+        checkpoint_from_bytes(_crc_valid(header + struct.pack("<I", 2) + b"\xff\xfe"
+                                         + struct.pack("<I", 0)))
