@@ -30,6 +30,7 @@ from .metrics import (
     miss_report_text,
     read_predictions_csv,
     read_truth_csv,
+    top_n,
     write_predictions_csv,
 )
 from .netmodel import ModelConfig, init_model, model_forward, set_output_prior
@@ -76,16 +77,38 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _effective(args: argparse.Namespace, defaults: dict) -> dict:
-    cfg = dict(defaults)
+def _check_file_value(name: str, kind, default, value) -> None:
+    """A --config value must be one its flag could give: an int (not a bool)
+    for int, any number for float, a string, a bool, or one of the choices;
+    null only where the default is null."""
+    if value is None:
+        ok = default is None
+    elif isinstance(kind, tuple):
+        ok = value in kind
+    elif kind is float:
+        ok = type(value) in (int, float)
+    else:
+        ok = type(value) is kind
+    if not ok:
+        expected = f"one of {list(kind)}" if isinstance(kind, tuple) else kind.__name__
+        raise ValueError(f"config {name}: expected {expected}, got {json.dumps(value)}")
+
+
+def _effective(args: argparse.Namespace, options: list) -> dict:
+    cfg = {name: default for name, _, default, *_ in options}
     if args.config is not None:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
-        unknown = sorted(set(file_cfg) - set(defaults))
+        if not isinstance(file_cfg, dict):
+            raise ValueError("config file must hold a JSON object")
+        unknown = sorted(set(file_cfg) - set(cfg))
         if unknown:
             raise ValueError(f"unknown config keys: {unknown}")
+        for name, kind, default, *_ in options:
+            if name in file_cfg:
+                _check_file_value(name, kind, default, file_cfg[name])
         cfg.update(file_cfg)
-    for key in defaults:
+    for key in cfg:
         value = getattr(args, key)
         if value is not None:
             cfg[key] = value
@@ -211,9 +234,7 @@ def _model_predictions(cfg: dict) -> tuple[list, dict]:
         probs, _ = model_forward([r.frames for r in chunk], model)
         for record, row in zip(chunk, probs):
             video_id = record.id.decode()
-            items = sorted(((label, float(c)) for label, c in enumerate(row)),
-                           key=lambda item: (-item[1], item[0]))[:cfg["top_n"]]
-            predictions.append((video_id, items))
+            predictions.append((video_id, top_n(enumerate(row.tolist()), cfg["top_n"])))
             truth[video_id] = set(record.labels.tolist())
     return predictions, truth
 
@@ -333,7 +354,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handler, _, options = _COMMANDS[args.command]
     try:
-        cfg = _effective(args, {name: default for name, _, default, *_ in options})
+        cfg = _effective(args, options)
         _banner(args.command, cfg)
         return handler(cfg)
     except (ValueError, OSError, json.JSONDecodeError) as exc:

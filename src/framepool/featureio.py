@@ -136,20 +136,27 @@ def write_dataset(records: Sequence[VideoRecord], header: DatasetHeader, sink: B
     return written
 
 
-def _read_exact(source: BinaryIO, n: int, what: str) -> bytes:
-    buf = source.read(n)
-    if len(buf) != n:
-        raise DatasetFormatError(f"truncated file while reading {what}")
-    return buf
-
-
 def read_dataset(source: BinaryIO) -> tuple[DatasetHeader, Iterator[VideoRecord]]:
     """Read the header eagerly and return a lazy record iterator.
 
     Records are yielded in file order; the iterator reads each byte exactly
-    once and never holds more than one record in memory.
+    once and never holds more than one record in memory.  Every size a record
+    claims is checked against the bytes left in ``source`` (found once, by
+    seeking to its end) before it is read, and bytes after the last record
+    are an error.
     """
-    raw = _read_exact(source, HEADER_SIZE, "header")
+    start = source.tell()
+    left = source.seek(0, os.SEEK_END) - start
+    source.seek(start)
+
+    def read_exact(n: int, what: str) -> bytes:
+        nonlocal left
+        left -= n
+        if left < 0 or len(buf := source.read(n)) != n:
+            raise DatasetFormatError(f"truncated file while reading {what}")
+        return buf
+
+    raw = read_exact(HEADER_SIZE, "header")
     magic, version, d_video, d_audio, vocab_size, record_count = _HEADER.unpack(raw)
     if magic != MAGIC:
         raise DatasetFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
@@ -161,21 +168,23 @@ def read_dataset(source: BinaryIO) -> tuple[DatasetHeader, Iterator[VideoRecord]
         dim = header.feature_dim
         for index in range(header.record_count):
             try:
-                (id_len,) = struct.unpack("<H", _read_exact(source, 2, "id length"))
-                video_id = _read_exact(source, id_len, "id")
-                (t,) = struct.unpack("<I", _read_exact(source, 4, "frame count"))
+                (id_len,) = struct.unpack("<H", read_exact(2, "id length"))
+                video_id = read_exact(id_len, "id")
+                (t,) = struct.unpack("<I", read_exact(4, "frame count"))
                 if t < 1:
                     raise DatasetFormatError("frame count must be >= 1")
-                payload = _read_exact(source, t * dim * 4, "frame payload")
+                payload = read_exact(t * dim * 4, "frame payload")
                 frames = np.frombuffer(payload, dtype="<f4").reshape(t, dim)
-                (n_labels,) = struct.unpack("<H", _read_exact(source, 2, "label count"))
-                label_bytes = _read_exact(source, n_labels * 4, "labels")
+                (n_labels,) = struct.unpack("<H", read_exact(2, "label count"))
+                label_bytes = read_exact(n_labels * 4, "labels")
                 labels = np.frombuffer(label_bytes, dtype="<u4").astype(np.int64)
             except DatasetFormatError as exc:
                 raise DatasetFormatError(f"record {index}: {exc}") from None
             record = VideoRecord(id=video_id, frames=frames.copy(), labels=labels)
             validate_record(record, header, index)
             yield record
+        if left:
+            raise DatasetFormatError(f"{left} bytes after the last record")
 
     return header, records()
 

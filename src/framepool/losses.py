@@ -44,7 +44,8 @@ def huber_grad_scalar(a, delta: float):
         raise ValueError(f"delta must be > 0, got {delta}")
     a = np.asarray(a, dtype=np.float64)
     r = a / delta
-    return a / np.sqrt(1.0 + r * r)
+    # for |a| >> delta the rounded quotient can exceed delta by an ulp
+    return np.clip(a / np.sqrt(1.0 + r * r), -delta, delta)
 
 
 def multilabel_loss(probabilities: np.ndarray, targets: np.ndarray,

@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -53,35 +53,36 @@ class MissReport:
             raise AssertionError("miss buckets do not partition the missed set")
 
 
-def _check_video(video_id, items: Sequence[tuple[int, float]]) -> None:
-    labels = [label for label, _ in items]
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"video {video_id!r}: duplicate predicted labels")
-    if not all(np.isfinite(conf) for _, conf in items):
-        raise ValueError(f"video {video_id!r}: non-finite confidence")
-
-
-def _top_n(items: Sequence[tuple[int, float]], n: int) -> list[tuple[int, float]]:
+def top_n(items: Iterable[tuple[int, float]], n: int) -> list[tuple[int, float]]:
+    """A video's n most confident (label, confidence) pairs, ties by label id."""
     return sorted(items, key=lambda lc: (-lc[1], lc[0]))[:n]
 
 
+def _ranked(predictions: Predictions, truth: Mapping, config: GapConfig):
+    """Per video, in input order, once checked: (its truth set, its top-n)."""
+    config.validate()
+    for video_id, items in predictions:
+        if video_id not in truth:
+            raise ValueError(f"no truth entry for video {video_id!r}")
+        labels = [label for label, _ in items]
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"video {video_id!r}: duplicate predicted labels")
+        if not all(np.isfinite(conf) for _, conf in items):
+            raise ValueError(f"video {video_id!r}: non-finite confidence")
+        yield set(truth[video_id]), top_n(items, config.n)
+
+
 def _pooled(predictions: Predictions, truth: Mapping, config: GapConfig):
-    """Validate, cap per video, and return (sorted pool, P).
+    """Cap per video and return (sorted pool, P).
 
     Pool entries are (confidence, video order, label, is_correct); the sort is
     by descending confidence, then video input order, then label id.
     """
-    config.validate()
     pool = []
     total_truth = 0
-    for order, (video_id, items) in enumerate(predictions):
-        if video_id not in truth:
-            raise ValueError(f"no truth entry for video {video_id!r}")
-        _check_video(video_id, items)
-        truth_set = set(truth[video_id])
+    for order, (truth_set, kept) in enumerate(_ranked(predictions, truth, config)):
         total_truth += len(truth_set)
-        for label, conf in _top_n(items, config.n):
-            pool.append((conf, order, label, label in truth_set))
+        pool.extend((conf, order, label, label in truth_set) for label, conf in kept)
     if total_truth == 0:
         raise ValueError("no ground-truth pairs among evaluated videos (P = 0)")
     pool.sort(key=lambda e: (-e[0], e[1], e[2]))
@@ -115,18 +116,12 @@ def gap_bruteforce(predictions: Predictions, truth: Mapping,
 def miss_analysis(predictions: Predictions, truth: Mapping,
                   config: GapConfig = GapConfig()) -> MissReport:
     """A video is missed iff any truth label is absent from its top-n."""
-    config.validate()
     total = 0
     missed = 0
     buckets = {1: 0, 2: 0, 4: 0}  # keyed by bucket floor: 1, 2-3, >=4
-    for video_id, items in predictions:
-        if video_id not in truth:
-            raise ValueError(f"no truth entry for video {video_id!r}")
-        _check_video(video_id, items)
+    for truth_set, kept in _ranked(predictions, truth, config):
         total += 1
-        truth_set = set(truth[video_id])
-        kept = {label for label, _ in _top_n(items, config.n)}
-        if truth_set - kept:
+        if truth_set - {label for label, _ in kept}:
             missed += 1
             cardinality = len(truth_set)
             if cardinality <= 1:
@@ -164,9 +159,18 @@ def miss_report_text(report: MissReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _csv_rows(lines: Iterable[str], what: str) -> Iterator[list[str]]:
+    """csv.reader's rows, with its csv.Error (a bare carriage return, a field
+    past csv.field_size_limit) raised as ValueError like every other format fault."""
+    try:
+        yield from csv.reader(lines)
+    except csv.Error as exc:
+        raise ValueError(f"malformed {what} CSV: {exc}") from None
+
+
 def read_predictions_csv(lines: Iterable[str]) -> list[tuple[str, list[tuple[int, float]]]]:
     """CSV with header video_id,label,confidence; rows grouped by first seen id."""
-    reader = csv.reader(lines)
+    reader = _csv_rows(lines, "predictions")
     header = next(reader, None)
     if header != ["video_id", "label", "confidence"]:
         raise ValueError(f"bad predictions header: {header}")
@@ -181,7 +185,7 @@ def read_predictions_csv(lines: Iterable[str]) -> list[tuple[str, list[tuple[int
 
 def read_truth_csv(lines: Iterable[str]) -> dict[str, set[int]]:
     """CSV with header video_id,label; one row per ground-truth pair."""
-    reader = csv.reader(lines)
+    reader = _csv_rows(lines, "truth")
     header = next(reader, None)
     if header != ["video_id", "label"]:
         raise ValueError(f"bad truth header: {header}")

@@ -94,6 +94,42 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     assert "unknown config keys" in err
 
 
+@pytest.mark.parametrize("file_cfg, message", [
+    ([["videos", 3]], "config file must hold a JSON object"),
+    ({"videos": "12"}, 'config videos: expected int, got "12"'),
+    ({"videos": True}, "config videos: expected int, got true"),
+    ({"videos": None}, "config videos: expected int, got null"),
+    ({"noise_scale": False}, "config noise_scale: expected float, got false"),
+    ({"out": ["d.vfr"]}, 'config out: expected str, got ["d.vfr"]'),
+])
+def test_config_file_value_of_wrong_type_single_error_line(tmp_path, capsys, file_cfg, message):
+    config = tmp_path / "gen.json"
+    config.write_text(json.dumps(file_cfg))
+    code, out, err = run(capsys, "gen", "--config", str(config),
+                         "--out", str(tmp_path / "d.vfr"))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [f"error: {message}"]
+
+
+def test_config_file_choice_and_bool_checked_against_option_table(tmp_path, capsys):
+    config = tmp_path / "lr.json"
+    config.write_text(json.dumps({"preset": "medium"}))
+    code, _, err = run(capsys, "lr-curve", "--config", str(config))
+    assert err.splitlines() == ["error: config preset: expected one of ['fast', 'slow'], got \"medium\""]
+    config.write_text(json.dumps({"preset": "fast", "staircase": 1}))
+    code, _, err = run(capsys, "lr-curve", "--config", str(config))
+    assert err.splitlines() == ["error: config staircase: expected bool, got 1"]
+    # an int for a float option and null for an unset one are kept as written
+    config.write_text(json.dumps({"preset": "fast", "staircase": True, "epochs": 1,
+                                  "decay": None}))
+    code, out, err = run(capsys, "lr-curve", "--config", str(config))
+    assert code == 0, err
+    assert out.splitlines()[0] == (
+        'config {"command": "lr-curve", "decay": null, "decay_per_epoch": null, "epochs": 1, '
+        '"initial_lr": null, "out": null, "preset": "fast", "staircase": true, "step": 0.25}')
+
+
 def test_gen_reruns_byte_identical(tmp_path, capsys):
     a = gen_dataset(tmp_path, capsys, name="a.vfr", seed=3)
     b = gen_dataset(tmp_path, capsys, name="b.vfr", seed=3)
@@ -325,4 +361,54 @@ def test_train_config_non_integer_clusters_single_error_line(tmp_path, capsys):
     code, _, err = run(capsys, "train", "--config", str(config), "--data", str(data),
                        "--val", str(data))
     assert code == 1
-    assert err.splitlines() == ["error: cluster_size must be an integer >= 1, got 2.5"]
+    assert err.splitlines() == ["error: config clusters: expected int, got 2.5"]
+
+
+def test_stats_on_record_claiming_more_frames_than_the_file_holds(tmp_path, capsys):
+    import struct
+
+    # 60 bytes whose one record claims 2**32 - 1 frames of width 40 (about 687 GB)
+    blob = struct.pack("<4sIIIIQ", b"VFR1", 1, 32, 8, 50, 1)
+    blob += struct.pack("<H", 2) + b"v0" + struct.pack("<I", 2**32 - 1)
+    data = tmp_path / "crafted.vfr"
+    data.write_bytes(blob + bytes(60 - len(blob)))
+    code, _, err = run(capsys, "stats", "--data", str(data))
+    assert code == 1
+    assert err.splitlines() == ["error: record 0: truncated file while reading frame payload"]
+
+
+def test_eval_predictions_field_past_csv_limit_single_error_line(tmp_path, capsys):
+    predictions = tmp_path / "preds.csv"
+    predictions.write_text(f"video_id,label,confidence\n{'v' * 131073},0,0.5\n")
+    truth = tmp_path / "truth.csv"
+    truth.write_text("video_id,label\nA,0\n")
+    code, _, err = run(capsys, "eval", "--predictions", str(predictions),
+                       "--truth", str(truth))
+    assert code == 1
+    assert err.splitlines() == [
+        "error: malformed predictions CSV: field larger than field limit (131072)"]
+
+
+def test_eval_checkpoint_with_tied_probabilities_ranks_by_label_id(tmp_path, capsys):
+    from framepool.trainer import checkpoint_bytes, load_checkpoint
+
+    data = gen_dataset(tmp_path, capsys, videos=12)
+    ckpt = tmp_path / "model.vpck"
+    code, _, err = run(capsys, "train", "--data", str(data), "--val", str(data),
+                       "--clusters", "2", "--hidden", "3", "--batch-size", "8",
+                       "--epochs", "0.5", "--out-checkpoint", str(ckpt))
+    assert code == 0, err
+    cp = load_checkpoint(str(ckpt))
+    tied = {"out_w": lambda a: 0.0 * a, "out_b": lambda a: 0.0 * a + 0.25}
+    cp.arrays = [(n, tied.get(n, lambda a: a)(a)) for n, a in cp.arrays]
+    ckpt.write_bytes(checkpoint_bytes(cp))
+    preds = tmp_path / "preds.csv"
+    code, _, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(data),
+                       "--top-n", "4", "--out-predictions", str(preds))
+    assert code == 0, err
+    rows = [line.split(",") for line in preds.read_text().splitlines()[1:]]
+    assert len(rows) == 12 * 4
+    assert len({conf for _, _, conf in rows}) == 1
+    for start in range(0, len(rows), 4):
+        assert [int(label) for _, label, _ in rows[start:start + 4]] == [0, 1, 2, 3]
+        assert len({video for video, _, _ in rows[start:start + 4]}) == 1

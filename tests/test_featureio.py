@@ -231,3 +231,51 @@ def test_infeasible_label_range_rejected():
     spec = SyntheticSpec(num_videos=1, vocab_size=2, labels_min=1, labels_max=3)
     with pytest.raises(ValueError, match="labels_max"):
         generate_synthetic(spec)
+
+
+def test_bytes_after_last_record_rejected():
+    spec = SyntheticSpec(num_videos=3, vocab_size=5, d_video=3, d_audio=1, seed=2)
+    sink = io.BytesIO()
+    write_dataset(generate_synthetic(spec), spec.header(), sink)
+    _, stream = read_dataset(io.BytesIO(sink.getvalue() + b"junk"))
+    with pytest.raises(DatasetFormatError, match="4 bytes after the last record"):
+        list(stream)
+
+
+def _fuzz_blob() -> bytes:
+    spec = SyntheticSpec(num_videos=3, vocab_size=6, d_video=2, d_audio=1, t_min=1, t_max=3,
+                         labels_min=1, labels_max=3, seed=4)
+    sink = io.BytesIO()
+    write_dataset(generate_synthetic(spec), spec.header(), sink)
+    return sink.getvalue()
+
+
+FUZZ_BLOB = _fuzz_blob()
+
+_mutations = st.one_of(
+    st.tuples(st.just("edit"), st.integers(0, 10**6), st.integers(0, 255)),
+    st.tuples(st.just("truncate"), st.integers(0, 10**6)),
+    st.tuples(st.just("insert"), st.integers(0, 10**6), st.binary(min_size=1, max_size=8)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_mutations, min_size=1, max_size=3))
+def test_mutated_file_is_rejected_or_reencodes_to_the_same_bytes(mutations):
+    blob = bytearray(FUZZ_BLOB)
+    for kind, at, *arg in mutations:
+        at %= len(blob) + 1
+        if kind == "edit" and at < len(blob):
+            blob[at] = arg[0]
+        elif kind == "truncate":
+            del blob[at:]
+        elif kind == "insert":
+            blob[at:at] = arg[0]
+    try:
+        header, stream = read_dataset(io.BytesIO(bytes(blob)))
+        records = list(stream)
+    except DatasetFormatError:
+        return
+    sink = io.BytesIO()
+    write_dataset(records, header, sink)
+    assert sink.getvalue() == bytes(blob)

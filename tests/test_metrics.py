@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -243,3 +244,47 @@ def test_csv_bad_headers_rejected():
         read_predictions_csv(["vid,label,conf", "A,0,0.5"])
     with pytest.raises(ValueError, match="header"):
         read_truth_csv(["id,lab", "A,0"])
+
+
+FUZZ_PREDICTIONS = write_predictions_csv(FIXTURE_PREDICTIONS)
+FUZZ_TRUTH = "video_id,label\nA,0\nB,1\nB,2\n"
+_csv_text = st.text(alphabet='AB0123456789.,-+e"\r\n\x00 nai', min_size=1, max_size=6)
+_csv_mutations = st.one_of(
+    st.tuples(st.just("edit"), st.integers(0, 10**4), _csv_text),
+    st.tuples(st.just("truncate"), st.integers(0, 10**4)),
+    st.tuples(st.just("insert"), st.integers(0, 10**4), _csv_text),
+)
+
+
+def _mutate(text, mutations):
+    for kind, at, *arg in mutations:
+        at %= len(text) + 1
+        if kind == "edit":
+            text = text[:at] + arg[0] + text[at + len(arg[0]):]
+        elif kind == "truncate":
+            text = text[:at]
+        else:
+            text = text[:at] + arg[0] + text[at:]
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_csv_mutations, max_size=3), st.lists(_csv_mutations, max_size=3))
+def test_mutated_csv_is_rejected_or_scores(prediction_edits, truth_edits):
+    try:
+        predictions = read_predictions_csv(io.StringIO(_mutate(FUZZ_PREDICTIONS, prediction_edits)))
+        truth = read_truth_csv(io.StringIO(_mutate(FUZZ_TRUTH, truth_edits)))
+    except ValueError:
+        return
+    for score in (gap, miss_analysis):
+        try:
+            score(predictions, truth)
+        except ValueError:
+            pass
+
+
+def test_csv_module_errors_are_value_errors():
+    with pytest.raises(ValueError, match="malformed predictions CSV: field larger than field limit"):
+        read_predictions_csv(io.StringIO(f"video_id,label,confidence\n{'v' * 131073},0,0.5\n"))
+    with pytest.raises(ValueError, match="malformed truth CSV: new-line character"):
+        read_truth_csv(io.StringIO("video_id,label\nA,0\rB,1\n"))
