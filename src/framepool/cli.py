@@ -24,13 +24,16 @@ from .featureio import (
 from .losses import HuberParams
 from .metrics import (
     GapConfig,
+    Ranked,
+    Truth,
     gap,
     miss_analysis,
     miss_report_csv,
     miss_report_text,
+    rank_pairs,
+    rank_probs,
     read_predictions_csv,
     read_truth_csv,
-    top_n,
     write_predictions_csv,
 )
 from .netmodel import ModelConfig, init_model, model_forward, set_output_prior
@@ -43,6 +46,7 @@ from .trainer import (
     check_feature_width,
     curve_csv,
     dedupe_by_id,
+    label_targets,
     load_checkpoint,
     make_checkpoint,
     restore_checkpoint,
@@ -222,24 +226,25 @@ def cmd_train(cfg: dict) -> int:
     return 0
 
 
-def _model_predictions(cfg: dict) -> tuple[list, dict]:
+def _model_predictions(cfg: dict) -> tuple[Ranked, Truth]:
     model, _, _, _ = restore_checkpoint(load_checkpoint(cfg["checkpoint"]))
     _, records = load_dataset(cfg["data"])
     records = dedupe_by_id(records)
     check_feature_width(records, model)
-    predictions = []
-    truth = {}
-    for start in range(0, len(records), 128):
-        chunk = records[start:start + 128]
-        probs, _ = model_forward([r.frames for r in chunk], model)
-        for record, row in zip(chunk, probs):
-            video_id = record.id.decode()
-            predictions.append((video_id, top_n(enumerate(row.tolist()), cfg["top_n"])))
-            truth[video_id] = set(record.labels.tolist())
-    return predictions, truth
+
+    def chunks():  # ranked as they come, so no (videos, vocab) matrix is kept
+        for start in range(0, len(records), 128):
+            chunk = records[start:start + 128]
+            probs, _ = model_forward([r.frames for r in chunk], model)
+            yield ([r.id.decode() for r in chunk], probs,
+                   label_targets(chunk, model.config.vocab_size))
+
+    return rank_probs(chunks(), cfg["top_n"])
 
 
 def cmd_eval(cfg: dict) -> int:
+    config = GapConfig(n=cfg["top_n"])
+    config.validate()
     file_mode = cfg["predictions"] is not None or cfg["truth"] is not None
     model_mode = cfg["checkpoint"] is not None or cfg["data"] is not None
     if file_mode == model_mode:
@@ -252,13 +257,13 @@ def cmd_eval(cfg: dict) -> int:
             predictions = read_predictions_csv(fh)
         with open(cfg["truth"]) as fh:
             truth = read_truth_csv(fh)
+        predictions, truth = rank_pairs(predictions, truth)
     else:
         for key in ("checkpoint", "data"):
             _require(cfg, key)
         predictions, truth = _model_predictions(cfg)
         if cfg["out_predictions"] is not None:
             _write_text(cfg["out_predictions"], write_predictions_csv(predictions))
-    config = GapConfig(n=cfg["top_n"])
     print(f"GAP {gap(predictions, truth, config):.7f}")
     report = miss_analysis(predictions, truth, config)
     print(miss_report_text(report), end="")

@@ -1,18 +1,32 @@
 """Global average precision over pooled per-video top-n predictions.
 
 Every video contributes its n most confident predicted labels to one global
-pool; the pool is sorted by descending confidence and walked once, and each
-correct prediction at position i contributes precision_at_i / P, where P is
-the total number of ground-truth (video, label) pairs over all evaluated
-videos.  P counts pairs the top-n cap may have dropped, so a video with more
-truth labels than n caps the reachable score below 1.
+pool; the pool is sorted by descending confidence, and each correct prediction
+at position i contributes precision_at_i / P, where P is the total number of
+ground-truth (video, label) pairs over all evaluated videos.  P counts pairs
+the top-n cap may have dropped, so a video with more truth labels than n caps
+the reachable score below 1.
+
+The ranking core is flat arrays.  A Ranked holds each video's labels and
+confidences, best first, videos in input order; a Truth marks which of those
+entries are truth labels and counts each video's truth labels.  rank_probs
+builds them from (ids, probs, targets) chunks, a probability matrix and its
+0/1 truth indicator, one chunk at a time so no caller holds the whole matrix
+or its argsort.  rank_pairs is the adapter for (label, confidence) pairs with
+a truth mapping (CSV input); it also rejects a video with no truth entry or a
+duplicate label.  Both reject a non-finite confidence, naming the video.  gap,
+gap_bruteforce and miss_analysis keep each video's first n entries and take
+pairs too, ranking them through rank_pairs.  A Ranked iterates as (video_id,
+[(label, confidence), ...]), the pairs form write_predictions_csv writes.
 
 Ties are broken deterministically everywhere: within a video by ascending
-label id, in the global pool by video input order then label id.  Two runs of
-the same evaluation are therefore bit-identical.
+label id (a stable argsort of -probs, a lexsort for pairs), so a tie across
+the n-th place keeps the lower label id; in the global pool by video input
+order, then label id (a stable sort of the entries, which are in that order).
+Two runs of the same evaluation are therefore bit-identical.
 
-gap_bruteforce recomputes precision at every rank from scratch, O(M^2); it
-exists only to cross-check gap and must agree to 1e-12.
+gap_bruteforce recounts precision at every rank from scratch over the same
+pool, O(M^2); it exists only to cross-check gap and must agree to 1e-12.
 """
 
 from __future__ import annotations
@@ -53,86 +67,141 @@ class MissReport:
             raise AssertionError("miss buckets do not partition the missed set")
 
 
-def top_n(items: Iterable[tuple[int, float]], n: int) -> list[tuple[int, float]]:
-    """A video's n most confident (label, confidence) pairs, ties by label id."""
-    return sorted(items, key=lambda lc: (-lc[1], lc[0]))[:n]
+@dataclass(frozen=True)
+class Ranked:
+    """Per video, in input order, its kept labels and confidences, best first:
+    video v's entries are labels[starts[v]:starts[v + 1]] and the same confs."""
+    ids: list
+    labels: np.ndarray  # (M,) int64
+    confs: np.ndarray  # (M,) float64
+    starts: np.ndarray  # (V + 1,) int64
+
+    def __iter__(self) -> Iterator[tuple[object, list[tuple[int, float]]]]:
+        labels, confs, starts = self.labels.tolist(), self.confs.tolist(), self.starts.tolist()
+        for video_id, a, b in zip(self.ids, starts, starts[1:]):
+            yield video_id, list(zip(labels[a:b], confs[a:b]))
 
 
-def _ranked(predictions: Predictions, truth: Mapping, config: GapConfig):
-    """Per video, in input order, once checked: (its truth set, its top-n)."""
-    config.validate()
+@dataclass(frozen=True)
+class Truth:
+    """The truth as a Ranked sees it: hits[i] says whether entry i's label is
+    a truth label of its video; positives[v] is video v's truth-label count."""
+    hits: np.ndarray  # (M,) bool
+    positives: np.ndarray  # (V,) int64
+
+
+def rank_probs(chunks: Iterable[tuple[Sequence, np.ndarray, np.ndarray]],
+               n: int) -> tuple[Ranked, Truth]:
+    """Each video's n most probable labels, from (ids, probs, targets) chunks
+    whose probs and 0/1 targets are (B, L): a stable argsort of -probs."""
+    GapConfig(n).validate()
+    ids: list = []
+    labels, confs, hits, positives = [], [], [], []
+    for chunk_ids, probs, targets in chunks:
+        finite = np.isfinite(probs).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"video {chunk_ids[int(np.argmin(finite))]!r}: "
+                             "non-finite confidence")
+        top = np.argsort(-probs, axis=1, kind="stable")[:, :n]
+        ids.extend(chunk_ids)
+        labels.append(top.ravel())
+        confs.append(np.take_along_axis(probs, top, axis=1).ravel())
+        hits.append(np.take_along_axis(targets, top, axis=1).ravel() != 0)
+        positives.append(np.count_nonzero(targets, axis=1))
+    if not ids:
+        raise ValueError("no videos to rank")
+    return (Ranked(ids, np.concatenate(labels), np.concatenate(confs),
+                   np.arange(len(ids) + 1) * top.shape[1]),
+            Truth(np.concatenate(hits), np.concatenate(positives)))
+
+
+def rank_pairs(predictions: Predictions, truth: Mapping) -> tuple[Ranked, Truth]:
+    """The adapter for (label, confidence) pairs and a video_id -> labels
+    mapping; every video needs a truth entry and distinct labels."""
+    ids, counts, positives, labels, confs, hits = [], [], [], [], [], []
     for video_id, items in predictions:
         if video_id not in truth:
             raise ValueError(f"no truth entry for video {video_id!r}")
-        labels = [label for label, _ in items]
-        if len(set(labels)) != len(labels):
+        truth_set = set(truth[video_id])
+        video_labels = [label for label, _ in items]
+        if len(set(video_labels)) != len(video_labels):
             raise ValueError(f"video {video_id!r}: duplicate predicted labels")
-        if not all(np.isfinite(conf) for _, conf in items):
-            raise ValueError(f"video {video_id!r}: non-finite confidence")
-        yield set(truth[video_id]), top_n(items, config.n)
+        ids.append(video_id)
+        counts.append(len(items))
+        positives.append(len(truth_set))
+        labels += video_labels
+        confs += [conf for _, conf in items]
+        hits += [label in truth_set for label in video_labels]
+    video = np.repeat(np.arange(len(ids)), counts)
+    confs = np.array(confs, dtype=np.float64)
+    finite = np.isfinite(confs)
+    if not finite.all():
+        raise ValueError(f"video {ids[video[np.argmin(finite)]]!r}: non-finite confidence")
+    try:
+        labels = np.array(labels, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("predicted label outside the int64 range") from None
+    order = np.lexsort((labels, -confs, video))
+    return (Ranked(ids, labels[order], confs[order], np.cumsum([0] + counts)),
+            Truth(np.array(hits, dtype=bool)[order], np.array(positives, dtype=np.int64)))
 
 
-def _pooled(predictions: Predictions, truth: Mapping, config: GapConfig):
-    """Cap per video and return (sorted pool, P).
+def _top_n(predictions, truth, config: GapConfig):
+    """Each video's first n entries as (video index, confidence, hit) arrays,
+    plus the per-video truth counts; pairs are ranked through rank_pairs."""
+    config.validate()
+    if not isinstance(predictions, Ranked):
+        predictions, truth = rank_pairs(predictions, truth)
+    starts = predictions.starts
+    video = np.repeat(np.arange(len(predictions.ids)), np.diff(starts))
+    keep = np.arange(len(video)) - starts[video] < config.n
+    return video[keep], predictions.confs[keep], truth.hits[keep], truth.positives
 
-    Pool entries are (confidence, video order, label, is_correct); the sort is
-    by descending confidence, then video input order, then label id.
-    """
-    pool = []
-    total_truth = 0
-    for order, (truth_set, kept) in enumerate(_ranked(predictions, truth, config)):
-        total_truth += len(truth_set)
-        pool.extend((conf, order, label, label in truth_set) for label, conf in kept)
+
+def _pooled_hits(predictions, truth, config: GapConfig) -> tuple[np.ndarray, int]:
+    """The pool's hits in pool order (descending confidence, then video
+    order, then label id: a stable sort of entries in that order), and P."""
+    _, confs, hits, positives = _top_n(predictions, truth, config)
+    total_truth = int(positives.sum())
     if total_truth == 0:
         raise ValueError("no ground-truth pairs among evaluated videos (P = 0)")
-    pool.sort(key=lambda e: (-e[0], e[1], e[2]))
-    return pool, total_truth
+    return hits[np.argsort(-confs, kind="stable")], total_truth
 
 
-def gap(predictions: Predictions, truth: Mapping, config: GapConfig = GapConfig()) -> float:
-    """Single-pass walk: running correct count gives precision at each hit."""
-    pool, total_truth = _pooled(predictions, truth, config)
-    correct = 0
-    score = 0.0
-    for i, (_, _, _, is_correct) in enumerate(pool, start=1):
-        if is_correct:
-            correct += 1
-            score += correct / i
-    return score / total_truth
+def gap(predictions: Ranked | Predictions, truth: Truth | Mapping,
+        config: GapConfig = GapConfig()) -> float:
+    """Precision at each hit, summed in pool order, over P.  cumsum adds in
+    sequence, as a walk over the pool would (np.sum adds pairwise)."""
+    hits, total_truth = _pooled_hits(predictions, truth, config)
+    ranks = np.flatnonzero(hits) + 1
+    if len(ranks) == 0:
+        return 0.0
+    return float(np.cumsum(np.arange(1, len(ranks) + 1) / ranks)[-1]) / total_truth
 
 
-def gap_bruteforce(predictions: Predictions, truth: Mapping,
+def gap_bruteforce(predictions: Ranked | Predictions, truth: Truth | Mapping,
                    config: GapConfig = GapConfig()) -> float:
     """Same contract as gap; precision at each rank recounted from scratch."""
-    pool, total_truth = _pooled(predictions, truth, config)
+    hits, total_truth = _pooled_hits(predictions, truth, config)
+    hits = hits.tolist()
     score = 0.0
-    for i in range(1, len(pool) + 1):
-        if pool[i - 1][3]:
-            precision = sum(1 for e in pool[:i] if e[3]) / i
+    for i in range(1, len(hits) + 1):
+        if hits[i - 1]:
+            precision = sum(hits[:i]) / i
             score += precision / total_truth
     return score
 
 
-def miss_analysis(predictions: Predictions, truth: Mapping,
+def miss_analysis(predictions: Ranked | Predictions, truth: Truth | Mapping,
                   config: GapConfig = GapConfig()) -> MissReport:
-    """A video is missed iff any truth label is absent from its top-n."""
-    total = 0
-    missed = 0
-    buckets = {1: 0, 2: 0, 4: 0}  # keyed by bucket floor: 1, 2-3, >=4
-    for truth_set, kept in _ranked(predictions, truth, config):
-        total += 1
-        if truth_set - {label for label, _ in kept}:
-            missed += 1
-            cardinality = len(truth_set)
-            if cardinality <= 1:
-                buckets[1] += 1
-            elif cardinality <= 3:
-                buckets[2] += 1
-            else:
-                buckets[4] += 1
-    report = MissReport(total_videos=total, videos_with_missed_labels=missed,
-                        missed_single_label=buckets[1], missed_two_to_three=buckets[2],
-                        missed_four_plus=buckets[4])
+    """A video is missed iff its top-n holds fewer hits than it has truth labels."""
+    video, _, hits, positives = _top_n(predictions, truth, config)
+    found = np.bincount(video[hits], minlength=len(positives))
+    missed = positives[found < positives]  # the missed videos' truth counts
+    report = MissReport(total_videos=len(positives), videos_with_missed_labels=len(missed),
+                        missed_single_label=int(np.count_nonzero(missed <= 1)),
+                        missed_two_to_three=int(np.count_nonzero((missed >= 2) & (missed <= 3))),
+                        missed_four_plus=int(np.count_nonzero(missed >= 4)))
     report.validate()
     return report
 
@@ -198,11 +267,10 @@ def read_truth_csv(lines: Iterable[str]) -> dict[str, set[int]]:
     return truth
 
 
-def write_predictions_csv(predictions: Predictions) -> str:
+def write_predictions_csv(predictions: Ranked | Predictions) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["video_id", "label", "confidence"])
-    for video_id, items in predictions:
-        for label, conf in items:
-            writer.writerow([video_id, label, f"{conf:.10g}"])
+    writer.writerows((video_id, label, f"{conf:.10g}")
+                     for video_id, items in predictions for label, conf in items)
     return out.getvalue()

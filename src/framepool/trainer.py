@@ -28,7 +28,7 @@ import numpy as np
 
 from .featureio import VideoRecord, atomic_write
 from .losses import HuberParams, multilabel_loss
-from .metrics import GapConfig, gap
+from .metrics import GapConfig, gap, rank_probs
 from .netmodel import Model, ModelConfig, model_backward, model_forward, param_spec, param_views
 from .optim import AdamState, adam_step, init_adam_state, sgd_step
 from .schedule import ScheduleParams, SLOW_ANNEAL, lr_at
@@ -67,6 +67,8 @@ class TrainConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.optimizer not in OPTIMIZER_KINDS:
             raise ValueError(f"optimizer must be one of {OPTIMIZER_KINDS}")
+        if self.gap_top_n < 1:
+            raise ValueError(f"gap_top_n must be >= 1, got {self.gap_top_n}")
         self.schedule.validate()
         self.loss.validate()
 
@@ -107,7 +109,8 @@ def epoch_permutation(seed: int, epoch: int, num_videos: int) -> np.ndarray:
     return rng.permutation(num_videos)
 
 
-def _targets(records: Sequence[VideoRecord], vocab_size: int) -> np.ndarray:
+def label_targets(records: Sequence[VideoRecord], vocab_size: int) -> np.ndarray:
+    """The (videos, vocab) 0/1 indicator of each record's labels."""
     out = np.zeros((len(records), vocab_size))
     for i, record in enumerate(records):
         out[i, record.labels] = 1.0
@@ -139,17 +142,16 @@ def evaluate(records: Sequence[VideoRecord], model: Model, loss_params: HuberPar
     records = dedupe_by_id(records)
     if not records:
         raise ValueError("nothing to evaluate")
-    vocab = model.config.vocab_size
     all_probs = []
     for start in range(0, len(records), batch_size):
         chunk = records[start:start + batch_size]
         probs, _ = model_forward([r.frames for r in chunk], model)
         all_probs.append(probs)
     probs = np.vstack(all_probs)
-    loss, _ = multilabel_loss(probs, _targets(records, vocab), loss_params)
-    predictions = [(r.id, list(zip(range(vocab), row))) for r, row in zip(records, probs)]
-    truth = {r.id: r.labels for r in records}
-    return gap(predictions, truth, GapConfig(n=top_n)), loss
+    targets = label_targets(records, model.config.vocab_size)
+    loss, _ = multilabel_loss(probs, targets, loss_params)
+    ranked, truth = rank_probs([([r.id for r in records], probs, targets)], top_n)
+    return gap(ranked, truth, GapConfig(n=top_n)), loss
 
 
 def train(records: Sequence[VideoRecord], val_records: Sequence[VideoRecord],
@@ -199,7 +201,7 @@ def train(records: Sequence[VideoRecord], val_records: Sequence[VideoRecord],
                 break
             idx = perm[chunk_start:chunk_start + b]
             batch = [records[i].frames for i in idx]
-            targets = _targets([records[i] for i in idx], model.config.vocab_size)
+            targets = label_targets([records[i] for i in idx], model.config.vocab_size)
 
             lr = lr_at(fraction(step), config.schedule)
             probs, cache = model_forward(batch, model)
@@ -233,22 +235,24 @@ def train_phases(plan: PhasePlan, val_records: Sequence[VideoRecord], model: Mod
 
     Each phase restarts step accounting and the lr schedule on its own
     dataset; curve epochs are offset by the fractions already trained so the
-    concatenated curve plots as one timeline.
+    concatenated curve plots as one timeline.  The result counts the steps
+    of every phase.
     """
     plan.validate()
     config.validate()
     opt_state = init_adam_state(model) if config.optimizer == "adam" else None
     offset = 0.0
     curve: list[CurveRow] = []
-    result = None
+    steps = 0
     for phase_records, budget in plan.phases:
         phase_config = replace(config, epoch_budget=budget)
         result = train(phase_records, val_records, model, phase_config,
                        opt_state=opt_state, epoch_offset=offset)
         curve.extend(result.curve)
         offset += result.epoch_fraction
+        steps += result.global_step
     return TrainResult(model=model, curve=curve, opt_state=opt_state,
-                       global_step=result.global_step, epoch_fraction=offset)
+                       global_step=steps, epoch_fraction=offset)
 
 
 def curve_csv(curve: Sequence[CurveRow]) -> str:

@@ -412,3 +412,50 @@ def test_eval_checkpoint_with_tied_probabilities_ranks_by_label_id(tmp_path, cap
     for start in range(0, len(rows), 4):
         assert [int(label) for _, label, _ in rows[start:start + 4]] == [0, 1, 2, 3]
         assert len({video for video, _, _ in rows[start:start + 4]}) == 1
+
+
+def test_two_phase_train_reports_and_saves_every_step(tmp_path, capsys):
+    from framepool.trainer import load_checkpoint
+
+    data = gen_dataset(tmp_path, capsys, name="train.vfr", videos=64, seed=1)
+    hard = gen_dataset(tmp_path, capsys, name="hard.vfr", videos=100, seed=3)
+    val = gen_dataset(tmp_path, capsys, name="val.vfr", videos=8, seed=2)
+    ckpt = tmp_path / "model.vpck"
+    code, out, err = run(
+        capsys, "train", "--data", str(data), "--val", str(val),
+        "--phase2-data", str(hard), "--phase2-epochs", "1.0", "--epochs", "1.0",
+        "--clusters", "2", "--hidden", "4", "--batch-size", "8", "--eval-every", "1.0",
+        "--out-checkpoint", str(ckpt))
+    assert code == 0, err
+    assert "steps 21" in out.splitlines()  # 64/8 = 8 steps, then ceil(100/8) = 13
+    meta = load_checkpoint(str(ckpt)).meta
+    assert meta["global_step"] == 21
+    assert meta["optimizer"]["step"] == 21
+
+
+@pytest.mark.parametrize("top_n", ["0", "-1"])
+def test_eval_bad_top_n_rejected_before_any_output(tmp_path, capsys, top_n):
+    data = gen_dataset(tmp_path, capsys, videos=12)
+    ckpt = tmp_path / "model.vpck"
+    code, _, err = run(capsys, "train", "--data", str(data), "--val", str(data),
+                       "--clusters", "2", "--hidden", "3", "--batch-size", "8",
+                       "--epochs", "0.5", "--out-checkpoint", str(ckpt))
+    assert code == 0, err
+    preds = tmp_path / "preds.csv"
+    code, _, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(data),
+                       "--top-n", top_n, "--out-predictions", str(preds))
+    assert code == 1
+    assert err.splitlines() == [f"error: n must be >= 1, got {top_n}"]
+    assert not preds.exists()
+
+
+def test_train_top_n_zero_rejected_before_training(tmp_path, capsys):
+    data = gen_dataset(tmp_path, capsys, videos=12)
+    curve, ckpt = tmp_path / "curve.csv", tmp_path / "model.vpck"
+    code, out, err = run(capsys, "train", "--data", str(data), "--val", str(data),
+                         "--top-n", "0", "--out-curve", str(curve),
+                         "--out-checkpoint", str(ckpt))
+    assert code == 1
+    assert err.splitlines() == ["error: gap_top_n must be >= 1, got 0"]
+    assert "steps" not in out
+    assert not curve.exists() and not ckpt.exists()

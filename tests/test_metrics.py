@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 
 from framepool.metrics import (
     GapConfig,
+    MissReport,
     gap,
     gap_bruteforce,
     miss_analysis,
     miss_report_csv,
+    rank_pairs,
+    rank_probs,
     read_predictions_csv,
     read_truth_csv,
     write_predictions_csv,
@@ -163,6 +166,124 @@ def test_prepending_a_correct_prediction_never_decreases_gap(seed):
     extended = list(predictions)
     extended[vi] = (vid, [(label, top + 1.0)] + list(items))
     assert gap(extended, truth) >= before - 1e-12
+
+
+# ---------------------------------------------------------------- ranking core
+
+
+def reference_top_n(items, n):
+    return sorted(items, key=lambda lc: (-lc[1], lc[0]))[:n]
+
+
+def reference_gap(predictions, truth, n=20):
+    """The per-entry tuple walk the array core replaced: pool every video's
+    top-n, sort by (-confidence, video order, label), walk once."""
+    pool, total_truth = [], 0
+    for order, (video_id, items) in enumerate(predictions):
+        truth_set = set(truth[video_id])
+        total_truth += len(truth_set)
+        pool += [(conf, order, label, label in truth_set)
+                 for label, conf in reference_top_n(items, n)]
+    pool.sort(key=lambda e: (-e[0], e[1], e[2]))
+    correct, score = 0, 0.0
+    for i, (_, _, _, is_correct) in enumerate(pool, start=1):
+        if is_correct:
+            correct += 1
+            score += correct / i
+    return score / total_truth
+
+
+def reference_misses(predictions, truth, n=20):
+    buckets = [0, 0, 0]  # 1, 2-3, >= 4 truth labels
+    for video_id, items in predictions:
+        truth_set = set(truth[video_id])
+        if truth_set - {label for label, _ in reference_top_n(items, n)}:
+            buckets[0 if len(truth_set) <= 1 else 1 if len(truth_set) <= 3 else 2] += 1
+    return MissReport(len(predictions), sum(buckets), *buckets)
+
+
+def random_matrix(rng, coarse):
+    n_videos, n_labels = int(rng.integers(1, 13)), int(rng.integers(1, 10))
+    if coarse:  # exact ties within and across videos, often across the n-th place
+        probs = rng.integers(0, 4, size=(n_videos, n_labels)) / 4.0
+    else:
+        probs = rng.uniform(size=(n_videos, n_labels))
+    targets = np.zeros((n_videos, n_labels))
+    for row in targets:  # some videos have no truth label
+        row[rng.choice(n_labels, size=int(rng.integers(0, min(4, n_labels) + 1)),
+                       replace=False)] = 1.0
+    if not targets.any():
+        targets[0, 0] = 1.0
+    ids = [f"v{i}" for i in range(n_videos)]
+    return ids, probs, targets
+
+
+def as_pairs(ids, probs, targets, rng):
+    """The same predictions as (label, confidence) pairs in shuffled order."""
+    predictions = []
+    for video_id, row in zip(ids, probs):
+        items = list(enumerate(row.tolist()))
+        rng.shuffle(items)
+        predictions.append((video_id, items))
+    truth = {video_id: set(np.flatnonzero(row).tolist()) for video_id, row in zip(ids, targets)}
+    return predictions, truth
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**31), st.booleans(), st.integers(1, 11), st.integers(1, 5))
+def test_array_core_equals_tuple_walk(seed, coarse, n, chunk):
+    rng = np.random.default_rng(seed)
+    ids, probs, targets = random_matrix(rng, coarse)
+    predictions, truth = as_pairs(ids, probs, targets, rng)
+    config = GapConfig(n=n)
+    chunks = [(ids[i:i + chunk], probs[i:i + chunk], targets[i:i + chunk])
+              for i in range(0, len(ids), chunk)]
+    ranked, hits = rank_probs(chunks, n)
+    assert list(ranked) == [(vid, reference_top_n(items, n)) for vid, items in predictions]
+    expected = reference_gap(predictions, truth, n)
+    assert gap(ranked, hits, config) == expected
+    assert gap(predictions, truth, config) == expected
+    assert gap(*rank_probs(chunks, probs.shape[1]), config) == expected  # capped to n
+    assert abs(gap_bruteforce(ranked, hits, config) - expected) <= 1e-12
+    misses = reference_misses(predictions, truth, n)
+    assert miss_analysis(ranked, hits, config) == misses
+    assert miss_analysis(predictions, truth, config) == misses
+
+
+def test_tie_across_the_nth_place_keeps_the_lower_label_id():
+    probs = np.array([[0.5, 0.9, 0.5, 0.5, 0.1]])
+    targets = np.array([[0.0, 0.0, 1.0, 0.0, 0.0]])
+    ranked, truth = rank_probs([(["a"], probs, targets)], 2)
+    assert list(ranked) == [("a", [(1, 0.9), (0, 0.5)])]
+    assert truth.hits.tolist() == [False, False]
+    pairs = [("a", [(3, 0.5), (4, 0.1), (2, 0.5), (0, 0.5), (1, 0.9)])]
+    assert list(rank_pairs(pairs, {"a": {2}})[0]) == [("a", [(1, 0.9), (0, 0.5), (2, 0.5),
+                                                               (3, 0.5), (4, 0.1)])]
+    assert miss_analysis(ranked, truth, GapConfig(n=2)).videos_with_missed_labels == 1
+    assert gap(pairs, {"a": {2}}, GapConfig(n=2)) == 0.0
+    assert gap(pairs, {"a": {2}}, GapConfig(n=3)) == 1 / 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31), st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_non_finite_probability_names_its_video(seed, bad):
+    rng = np.random.default_rng(seed)
+    ids, probs, targets = random_matrix(rng, coarse=False)
+    v, label = int(rng.integers(len(ids))), int(rng.integers(probs.shape[1]))
+    probs[v, label] = bad
+    chunks = [(ids[i:i + 2], probs[i:i + 2], targets[i:i + 2]) for i in range(0, len(ids), 2)]
+    with pytest.raises(ValueError, match=f"^video 'v{v}': non-finite confidence$"):
+        rank_probs(chunks, 3)
+    predictions, truth = as_pairs(ids, probs, targets, rng)
+    with pytest.raises(ValueError, match=f"^video 'v{v}': non-finite confidence$"):
+        gap(predictions, truth)
+
+
+def test_rank_probs_rejects_bad_n_and_no_videos():
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        rank_probs([(["a"], np.ones((1, 2)), np.ones((1, 2)))], 0)
+    with pytest.raises(ValueError, match="no videos"):
+        rank_probs([], 3)
 
 
 # ---------------------------------------------------------------- miss report
