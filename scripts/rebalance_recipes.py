@@ -70,9 +70,8 @@ def main(argv=None) -> int:
         result = train_phases(PhasePlan(phases=phases), val_recs, model, tc)
         overall, _ = evaluate(val_recs, result.model, tc.loss)
         tail_gap, _ = evaluate(tail_val, result.model, tc.loss)
-        # result.global_step counts the last phase only; Adam counts every step
         print(f"{name}: val GAP {overall:.4f}, tail-slice GAP {tail_gap:.4f} "
-              f"({result.opt_state.step} steps)")
+              f"({result.global_step} steps)")
     return 0
 
 

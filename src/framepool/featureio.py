@@ -14,7 +14,9 @@ then, per record:
 Each frame row stores the video features followed by the audio features for
 one sampled second.  Features are float32 on disk; NaN/Inf anywhere is a hard
 format error on both write and read, because a single non-finite value
-silently poisons every downstream gradient check.
+silently poisons every downstream gradient check.  A file is read whole into
+one buffer, through the bounds-checked ByteReader that VPCK checkpoints share,
+and each record's frames are a read-only view of that buffer.
 
 The synthetic generator stands in for a real large-scale corpus: each label
 owns a unit-norm prototype direction, a video's frames are the average of its
@@ -29,7 +31,7 @@ import contextlib
 import os
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Iterator, Sequence
+from typing import BinaryIO, Callable, Sequence
 
 import numpy as np
 
@@ -53,15 +55,12 @@ class DatasetHeader:
     d_audio: int
     vocab_size: int
     record_count: int
-    version: int = FORMAT_VERSION
 
     @property
     def feature_dim(self) -> int:
         return self.d_video + self.d_audio
 
     def validate(self) -> None:
-        if self.version != FORMAT_VERSION:
-            raise DatasetFormatError(f"unsupported format version {self.version}")
         if self.d_video < 1:
             raise DatasetFormatError(f"d_video must be >= 1, got {self.d_video}")
         if self.d_audio < 0:
@@ -81,9 +80,9 @@ class VideoRecord:
     labels: np.ndarray  # (n_labels,) int64, strictly ascending
 
 
-def validate_record(record: VideoRecord, header: DatasetHeader, index: int | None = None) -> None:
-    """Check one record against the header; raise DatasetFormatError if inconsistent."""
-    where = f"record {index}" if index is not None else f"record id={record.id!r}"
+def validate_record(record: VideoRecord, header: DatasetHeader, index: int) -> None:
+    """Check record ``index`` against the header; raise DatasetFormatError if inconsistent."""
+    where = f"record {index}"
     if len(record.id) == 0:
         raise DatasetFormatError(f"{where}: empty id")
     if len(record.id) > MAX_ID_BYTES:
@@ -120,7 +119,7 @@ def write_dataset(records: Sequence[VideoRecord], header: DatasetHeader, sink: B
         )
     written = 0
     written += sink.write(
-        _HEADER.pack(MAGIC, header.version, header.d_video, header.d_audio,
+        _HEADER.pack(MAGIC, FORMAT_VERSION, header.d_video, header.d_audio,
                      header.vocab_size, header.record_count)
     )
     for index, record in enumerate(records):
@@ -136,57 +135,62 @@ def write_dataset(records: Sequence[VideoRecord], header: DatasetHeader, sink: B
     return written
 
 
-def read_dataset(source: BinaryIO) -> tuple[DatasetHeader, Iterator[VideoRecord]]:
-    """Read the header eagerly and return a lazy record iterator.
+class ByteReader:
+    """Reads one in-memory buffer front to back; arrays are views of it.  A size
+    claimed past its end raises ``error("truncated file while reading <what>")``."""
 
-    Records are yielded in file order; the iterator reads each byte exactly
-    once and never holds more than one record in memory.  Every size a record
-    claims is checked against the bytes left in ``source`` (found once, by
-    seeking to its end) before it is read, and bytes after the last record
-    are an error.
-    """
-    start = source.tell()
-    left = source.seek(0, os.SEEK_END) - start
-    source.seek(start)
+    def __init__(self, buf: bytes, error: Callable[[str], Exception]):
+        self.buf, self.pos, self.error = buf, 0, error
 
-    def read_exact(n: int, what: str) -> bytes:
-        nonlocal left
-        left -= n
-        if left < 0 or len(buf := source.read(n)) != n:
-            raise DatasetFormatError(f"truncated file while reading {what}")
-        return buf
+    def left(self) -> int:
+        return len(self.buf) - self.pos
 
-    raw = read_exact(HEADER_SIZE, "header")
-    magic, version, d_video, d_audio, vocab_size, record_count = _HEADER.unpack(raw)
+    def _advance(self, n: int, what: str) -> int:
+        if n > self.left():
+            raise self.error(f"truncated file while reading {what}")
+        self.pos += n
+        return self.pos - n  # the offset of the n bytes passed over
+
+    def take(self, n: int, what: str) -> bytes:
+        return self.array(np.uint8, n, what).tobytes()
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack_from(fmt, self.buf, self._advance(struct.calcsize(fmt), what))
+
+    def array(self, dtype, count: int, what: str) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        return np.frombuffer(self.buf, dtype, count, self._advance(count * dtype.itemsize, what))
+
+
+def read_dataset(source: BinaryIO) -> tuple[DatasetHeader, list[VideoRecord]]:
+    """The header and records of ``source``, read to its end into one buffer;
+    each record is validated as it is parsed, and trailing bytes are an error."""
+    reader = ByteReader(source.read(), DatasetFormatError)
+    magic, version, *fields = reader.unpack(_HEADER.format, "header")
     if magic != MAGIC:
         raise DatasetFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    header = DatasetHeader(d_video=d_video, d_audio=d_audio, vocab_size=vocab_size,
-                           record_count=record_count, version=version)
+    if version != FORMAT_VERSION:
+        raise DatasetFormatError(f"unsupported format version {version}")
+    header = DatasetHeader(*fields)  # d_video, d_audio, vocab_size, record_count
     header.validate()
-
-    def records() -> Iterator[VideoRecord]:
-        dim = header.feature_dim
-        for index in range(header.record_count):
-            try:
-                (id_len,) = struct.unpack("<H", read_exact(2, "id length"))
-                video_id = read_exact(id_len, "id")
-                (t,) = struct.unpack("<I", read_exact(4, "frame count"))
-                if t < 1:
-                    raise DatasetFormatError("frame count must be >= 1")
-                payload = read_exact(t * dim * 4, "frame payload")
-                frames = np.frombuffer(payload, dtype="<f4").reshape(t, dim)
-                (n_labels,) = struct.unpack("<H", read_exact(2, "label count"))
-                label_bytes = read_exact(n_labels * 4, "labels")
-                labels = np.frombuffer(label_bytes, dtype="<u4").astype(np.int64)
-            except DatasetFormatError as exc:
-                raise DatasetFormatError(f"record {index}: {exc}") from None
-            record = VideoRecord(id=video_id, frames=frames.copy(), labels=labels)
-            validate_record(record, header, index)
-            yield record
-        if left:
-            raise DatasetFormatError(f"{left} bytes after the last record")
-
-    return header, records()
+    records = []
+    for index in range(header.record_count):
+        try:
+            (id_len,) = reader.unpack("<H", "id length")
+            video_id = reader.take(id_len, "id")
+            (t,) = reader.unpack("<I", "frame count")
+            if t < 1:
+                raise DatasetFormatError("frame count must be >= 1")
+            frames = reader.array("<f4", t * header.feature_dim, "frame payload").reshape(t, -1)
+            (n_labels,) = reader.unpack("<H", "label count")
+            labels = reader.array("<u4", n_labels, "labels").astype(np.int64)
+        except DatasetFormatError as exc:
+            raise DatasetFormatError(f"record {index}: {exc}") from None
+        records.append(VideoRecord(id=video_id, frames=frames, labels=labels))
+        validate_record(records[-1], header, index)
+    if reader.left():
+        raise DatasetFormatError(f"{reader.left()} bytes after the last record")
+    return header, records
 
 
 @contextlib.contextmanager
@@ -210,8 +214,7 @@ def save_dataset(path: str, records: Sequence[VideoRecord], header: DatasetHeade
 
 def load_dataset(path: str) -> tuple[DatasetHeader, list[VideoRecord]]:
     with open(path, "rb") as source:
-        header, stream = read_dataset(source)
-        return header, list(stream)
+        return read_dataset(source)
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,10 @@ replaying the steps before it, which is what makes checkpoint resume exact.
 
 Checkpoint container ("VPCK"): u32 version, length-prefixed JSON metadata,
 then length-prefixed named float arrays, then CRC-32 over everything before
-it.  The CRC is verified before any parsing, and a body that passes it but is
-malformed still raises CheckpointFormatError.  save_checkpoint writes beside
-the target and moves the file into place only once it is complete.
+it.  The CRC is verified before featureio's ByteReader parses anything.  A
+body that passes it but is malformed, or whose arrays are not exactly the
+finite ones its config and optimizer imply, still raises CheckpointFormatError.
+save_checkpoint writes beside the target and moves it into place once complete.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .featureio import VideoRecord, atomic_write
+from .featureio import ByteReader, VideoRecord, atomic_write
 from .losses import HuberParams, multilabel_loss
 from .metrics import GapConfig, gap, rank_probs
 from .netmodel import Model, ModelConfig, model_backward, model_forward, param_spec, param_views
@@ -292,32 +293,37 @@ def make_checkpoint(model: Model, opt_state: AdamState | None, global_step: int,
 
 def restore_checkpoint(cp: Checkpoint) -> tuple[Model, AdamState | None, int, float]:
     """(model, optimizer state, global step, epoch fraction) from a checkpoint;
-    every array the stored config implies must be there with exactly its shape."""
+    exactly the arrays its config and optimizer imply, each finite and of its shape."""
     try:
         config = ModelConfig(**cp.meta["model_config"])
         spec = param_spec(config)
         opt = cp.meta["optimizer"]
-        hyper = None
-        if opt["kind"] == "adam":
-            hyper = {key: opt[key] for key in ("beta1", "beta2", "eps", "step")}
+        if opt["kind"] not in OPTIMIZER_KINDS:
+            raise ValueError(f"optimizer kind {opt['kind']!r} is not one of {OPTIMIZER_KINDS}")
+        hyper = ({key: opt[key] for key in ("beta1", "beta2", "eps", "step")}
+                 if opt["kind"] == "adam" else None)
         position = cp.meta["global_step"], cp.meta["epoch_fraction"]
     except (KeyError, TypeError, ValueError) as exc:  # a missing key, or a bad value
         raise CheckpointFormatError(f"bad checkpoint metadata: {exc!r}") from None
     values = dict(cp.arrays)
 
     def gather(prefix: str) -> np.ndarray:
-        """The arrays named prefix + spec name, checked and laid out flat."""
+        """The arrays named prefix + spec name, checked, taken and laid out flat."""
         parts = []
         for name, shape in spec:
             name = prefix + name
             found = values[name].shape if name in values else "no such array"
             if found != shape:
                 raise CheckpointFormatError(f"array {name}: expected shape {shape}, got {found}")
-            parts.append(values[name].ravel())
+            if not np.isfinite(values[name]).all():
+                raise CheckpointFormatError(f"array {name}: non-finite value")
+            parts.append(values.pop(name).ravel())
         return np.concatenate(parts, dtype=np.float64)
 
     model = Model(config, gather(""))
     state = None if hyper is None else AdamState(gather("adam.m."), gather("adam.v."), **hyper)
+    if values:
+        raise CheckpointFormatError(f"array {next(iter(values))}: unused by config and optimizer")
     return (model, state) + position
 
 
@@ -355,50 +361,40 @@ def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
         return _parse_body(body)
     except CheckpointFormatError:
         raise
-    except (struct.error, ValueError) as exc:  # a short read, bad UTF-8 or bad JSON
+    except ValueError as exc:  # a short read, bad UTF-8, bad JSON or an impossible shape
         raise CheckpointFormatError(f"malformed checkpoint: {exc}") from None
 
 
 def _parse_body(body: bytes) -> Checkpoint:
-    if body[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointFormatError(f"bad magic {body[:4]!r}")
-    (version,) = struct.unpack_from("<I", body, 4)
+    reader = ByteReader(body, ValueError)  # reported as a malformed checkpoint
+    magic, version, meta_len = reader.unpack("<4sII", "header")
+    if magic != CHECKPOINT_MAGIC:
+        raise CheckpointFormatError(f"bad magic {magic!r}")
     if version != CHECKPOINT_VERSION:
         raise CheckpointFormatError(f"unsupported checkpoint version {version}")
-    (meta_len,) = struct.unpack_from("<I", body, 8)
-    offset = 12
-    meta = json.loads(body[offset:offset + meta_len].decode())
+    meta = json.loads(reader.take(meta_len, "metadata").decode())
     if not isinstance(meta, dict):
         raise CheckpointFormatError("checkpoint metadata is not a JSON object")
-    offset += meta_len
-    (n_arrays,) = struct.unpack_from("<I", body, offset)
-    offset += 4
     arrays = []
-    for _ in range(n_arrays):
-        (name_len,) = struct.unpack_from("<H", body, offset)
-        offset += 2
-        name = body[offset:offset + name_len].decode()
-        offset += name_len
-        code, ndim = struct.unpack_from("<BB", body, offset)
-        offset += 2
+    for _ in range(reader.unpack("<I", "array count")[0]):
+        (name_len,) = reader.unpack("<H", "array name length")
+        name = reader.take(name_len, "array name").decode()
+        if any(name == seen for seen, _ in arrays):
+            raise CheckpointFormatError(f"array {name}: stored twice")
+        code, ndim = reader.unpack("<BB", f"array {name} dtype")
         if code not in _CODE_DTYPES:
             raise CheckpointFormatError(f"array {name}: unknown dtype code {code}")
-        shape = struct.unpack_from(f"<{ndim}I", body, offset)
-        offset += 4 * ndim
-        dtype = _CODE_DTYPES[code]
-        nbytes = math.prod(shape) * dtype.itemsize
-        arr = np.frombuffer(body[offset:offset + nbytes], dtype=dtype).reshape(shape)
-        offset += nbytes
-        arrays.append((name, arr.astype(arr.dtype.newbyteorder("="))))
-    if offset != len(body):
+        shape = tuple(reader.array("<u4", ndim, f"array {name} shape").tolist())
+        arr = reader.array(_CODE_DTYPES[code], math.prod(shape), f"array {name}")
+        arrays.append((name, arr.reshape(shape).astype(arr.dtype.newbyteorder("="))))
+    if reader.left():
         raise CheckpointFormatError("trailing bytes after last array")
     return Checkpoint(meta=meta, arrays=arrays)
 
 
 def save_checkpoint(path: str, cp: Checkpoint) -> None:
-    blob = checkpoint_bytes(cp)
     with atomic_write(path) as sink:
-        sink.write(blob)
+        sink.write(checkpoint_bytes(cp))
 
 
 def load_checkpoint(path: str) -> Checkpoint:

@@ -99,3 +99,24 @@ def test_traced_cli_eval_feeds_gap_miss_and_csv(tmp_path):
     assert metrics["metrics.gap_entries"] == len(records) * 3
     for name in ("metrics.gap_s", "metrics.miss_s", "metrics.csv_s"):
         assert metrics[name] > 0, name
+
+
+def test_traced_data_prep_feeds_every_featureio_and_rebalance_counter(tmp_path):
+    data, hard, tail = (str(tmp_path / name) for name in ("data.vfr", "hard.vfr", "tail.vfr"))
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        for argv in (["gen", "--videos", "30", "--vocab", "6", "--d-video", "3",
+                      "--d-audio", "1", "--t-min", "2", "--t-max", "3", "--out", data],
+                     ["stats", "--data", data, "--out", str(tmp_path / "stats.csv")],
+                     ["rebalance", "--data", data, "--mode", "hard", "--out", hard],
+                     ["rebalance", "--data", data, "--mode", "tail", "--rank-threshold", "2",
+                      "--out", tail]):
+            assert cli.main(argv) == 0, argv
+    metrics = tracing.layer_metrics(tracer)
+    size = {path: Path(path).stat().st_size / 1e6 for path in (data, hard, tail)}
+    assert tracing.layer_times(tracer.spans)["featureio.read"]["calls"] == 3  # one per load
+    assert metrics["featureio.read_mb"] == 3 * size[data]
+    assert metrics["featureio.write_mb"] == size[data] + size[hard] + size[tail]
+    for name in ("featureio.generate_s", "featureio.read_s", "featureio.write_s",
+                 "rebalance.stats_s", "rebalance.subset_s"):
+        assert metrics[name] > 0, name

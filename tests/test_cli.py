@@ -339,6 +339,24 @@ def test_eval_checkpoint_with_wrong_shape_single_error_line(tmp_path, capsys):
     assert err.splitlines() == ["error: array hidden_b: expected shape (3,), got (1,)"]
 
 
+def test_eval_checkpoint_with_non_finite_weight_blames_the_array(tmp_path, capsys):
+    from framepool.trainer import checkpoint_bytes, load_checkpoint
+
+    data = gen_dataset(tmp_path, capsys, name="train.vfr", videos=16, seed=1)
+    ckpt = tmp_path / "model.vpck"
+    code, _, err = run(capsys, "train", "--data", str(data), "--val", str(data),
+                       "--clusters", "2", "--hidden", "3", "--batch-size", "8",
+                       "--epochs", "0.5", "--out-checkpoint", str(ckpt))
+    assert code == 0, err
+    cp = load_checkpoint(str(ckpt))
+    out_w = dict(cp.arrays)["out_w"]
+    out_w[1, 2] = float("nan")
+    ckpt.write_bytes(checkpoint_bytes(cp))
+    code, _, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(data))
+    assert code == 1
+    assert err.splitlines() == ["error: array out_w: non-finite value"]
+
+
 def test_eval_malformed_checkpoint_single_error_line(tmp_path, capsys):
     import struct
     import zlib

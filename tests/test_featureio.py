@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from framepool.featureio import (
     HEADER_SIZE,
+    ByteReader,
     DatasetFormatError,
     DatasetHeader,
     SyntheticSpec,
@@ -99,6 +100,31 @@ def test_streaming_reads_each_byte_once():
     assert sink.read() == b""
 
 
+def test_unsupported_format_version_rejected():
+    spec = SyntheticSpec(num_videos=2, vocab_size=5, d_video=3, d_audio=1, seed=2)
+    sink = io.BytesIO()
+    write_dataset(generate_synthetic(spec), spec.header(), sink)
+    blob = bytearray(sink.getvalue())
+    struct.pack_into("<I", blob, 4, 2)
+    with pytest.raises(DatasetFormatError, match="unsupported format version 2"):
+        read_dataset(io.BytesIO(bytes(blob)))
+
+
+def test_byte_reader_checks_every_size_before_reading():
+    blob = struct.pack("<HI", 3, 2) + b"abc" + np.array([0.5, -1.0], dtype="<f4").tobytes()
+    reader = ByteReader(blob, DatasetFormatError)
+    assert reader.unpack("<HI", "sizes") == (3, 2)
+    assert reader.take(3, "id") == b"abc"
+    assert reader.left() == 8
+    with pytest.raises(DatasetFormatError, match="truncated file while reading frames"):
+        reader.array("<f4", 3, "frames")
+    assert reader.left() == 8  # a refused read takes nothing
+    assert reader.array("<f4", 2, "frames").tolist() == [0.5, -1.0]
+    assert reader.left() == 0
+    with pytest.raises(DatasetFormatError, match="truncated file while reading label count"):
+        reader.unpack("<H", "label count")
+
+
 def test_bad_magic_rejected():
     header = DatasetHeader(d_video=1, d_audio=0, vocab_size=1, record_count=0)
     sink = io.BytesIO()
@@ -116,10 +142,8 @@ def test_truncation_error_names_record_index():
     sink = io.BytesIO()
     write_dataset(records, header, sink)
     blob = sink.getvalue()
-    got_header, stream = read_dataset(io.BytesIO(blob[:-3]))
-    next(stream)
     with pytest.raises(DatasetFormatError, match="record 1"):
-        list(stream)
+        read_dataset(io.BytesIO(blob[:-3]))
 
 
 def test_nonfinite_feature_rejected_on_write_and_read():
@@ -237,9 +261,8 @@ def test_bytes_after_last_record_rejected():
     spec = SyntheticSpec(num_videos=3, vocab_size=5, d_video=3, d_audio=1, seed=2)
     sink = io.BytesIO()
     write_dataset(generate_synthetic(spec), spec.header(), sink)
-    _, stream = read_dataset(io.BytesIO(sink.getvalue() + b"junk"))
     with pytest.raises(DatasetFormatError, match="4 bytes after the last record"):
-        list(stream)
+        read_dataset(io.BytesIO(sink.getvalue() + b"junk"))
 
 
 def _fuzz_blob() -> bytes:

@@ -400,6 +400,38 @@ def test_restore_rejects_missing_array():
         _restore_edited(drop("adam.m.hidden_w"))
 
 
+def test_restore_rejects_arrays_it_would_not_use():
+    with pytest.raises(CheckpointFormatError, match="array stray: unused"):
+        _restore_edited(lambda cp: cp.arrays.append(("stray", np.zeros(3))))
+    # an SGD checkpoint has no moments, so stored ones are not silently dropped
+    with pytest.raises(CheckpointFormatError, match=r"array adam\.m\..*: unused"):
+        _restore_edited(lambda cp: cp.meta["optimizer"].update(kind="sgd"))
+
+
+def test_duplicate_array_rejected_while_parsing():
+    # the later hidden_b used to win silently
+    with pytest.raises(CheckpointFormatError, match="array hidden_b: stored twice"):
+        _restore_edited(lambda cp: cp.arrays.append(("hidden_b", np.full(8, 7.0))))
+
+
+def test_restore_rejects_unknown_optimizer_kind():
+    # "rmsprop" used to restore as a checkpoint with no optimizer state
+    with pytest.raises(CheckpointFormatError, match="optimizer kind 'rmsprop'"):
+        _restore_edited(lambda cp: cp.meta["optimizer"].update(kind="rmsprop"))
+
+
+@pytest.mark.parametrize("name, value", [("out_w", np.nan), ("video_pool.centers", np.inf),
+                                         ("adam.v.hidden_w", -np.inf)])
+def test_restore_rejects_non_finite_value_naming_the_array(name, value):
+    def edit(cp):
+        arr = dict(cp.arrays)[name].copy()
+        arr.flat[arr.size // 2] = value
+        _replace_array(cp, name, arr)
+
+    with pytest.raises(CheckpointFormatError, match=f"array {name}: non-finite value"):
+        _restore_edited(edit)
+
+
 def test_restore_rejects_missing_meta_key():
     for edit in (lambda cp: cp.meta.pop("global_step"),
                  lambda cp: cp.meta["optimizer"].pop("beta2"),
