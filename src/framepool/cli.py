@@ -14,6 +14,8 @@ import dataclasses
 import json
 import sys
 
+import numpy as np
+
 from .featureio import (
     SyntheticSpec,
     atomic_write,
@@ -43,7 +45,6 @@ from .schedule import curve_csv as lr_curve_csv
 from .trainer import (
     PhasePlan,
     TrainConfig,
-    check_feature_width,
     curve_csv,
     dedupe_by_id,
     label_targets,
@@ -136,10 +137,28 @@ def _write_text(path: str | None, text: str) -> None:
             sink.write(text)
 
 
+def _check_same_shape(what: str, expected, found) -> None:
+    """Two datasets' headers, or a ModelConfig and a header, must agree on
+    (d_video, d_audio, vocab_size)."""
+    shapes = [(x.d_video, x.d_audio, x.vocab_size) for x in (expected, found)]
+    if shapes[0] != shapes[1]:
+        raise ValueError(f"{what} shape mismatch: (d_video, d_audio, vocab_size) "
+                         f"{shapes[0]} vs {shapes[1]}")
+
+
+# the options of train and lr-curve that shape the learning-rate schedule
+_SCHEDULE_OPTIONS = [
+    ("preset", tuple(sorted(PRESETS)), None),
+    ("initial_lr", float, None),
+    ("decay", float, None),
+    ("decay_per_epoch", float, None),
+    ("staircase", bool, None),
+]
+
+
 def _resolve_schedule(cfg: dict) -> ScheduleParams:
     """The --preset schedule (slow when none is given), with each given field over it."""
-    given = {key: cfg[key] for key in ("initial_lr", "decay", "decay_per_epoch", "staircase")
-             if cfg[key] is not None}
+    given = {key: cfg[key] for key, *_ in _SCHEDULE_OPTIONS[1:] if cfg[key] is not None}
     return dataclasses.replace(PRESETS[cfg["preset"] or "slow"], **given)
 
 
@@ -185,10 +204,7 @@ def cmd_train(cfg: dict) -> int:
         _require(cfg, key)
     header, records = load_dataset(cfg["data"])
     val_header, val_records = load_dataset(cfg["val"])
-    shape = (header.d_video, header.d_audio, header.vocab_size)
-    if shape != (val_header.d_video, val_header.d_audio, val_header.vocab_size):
-        raise ValueError(f"train/val shape mismatch: {shape} vs "
-                         f"{(val_header.d_video, val_header.d_audio, val_header.vocab_size)}")
+    _check_same_shape("train/val", header, val_header)
     model_config = ModelConfig(
         pooling_kind=cfg["pooling"], cluster_size=cfg["clusters"],
         hidden_size=cfg["hidden"], d_video=header.d_video, d_audio=header.d_audio,
@@ -206,7 +222,8 @@ def cmd_train(cfg: dict) -> int:
 
     if cfg["phase2_data"] is not None:
         _require(cfg, "phase2_epochs")
-        _, phase2_records = load_dataset(cfg["phase2_data"])
+        phase2_header, phase2_records = load_dataset(cfg["phase2_data"])
+        _check_same_shape("train/phase-2", header, phase2_header)
         plan = PhasePlan(phases=[(records, cfg["epochs"]),
                                  (phase2_records, cfg["phase2_epochs"])])
         result = train_phases(plan, val_records, model, train_config)
@@ -228,9 +245,9 @@ def cmd_train(cfg: dict) -> int:
 
 def _model_predictions(cfg: dict) -> tuple[Ranked, Truth]:
     model, _, _, _ = restore_checkpoint(load_checkpoint(cfg["checkpoint"]))
-    _, records = load_dataset(cfg["data"])
+    header, records = load_dataset(cfg["data"])
+    _check_same_shape("checkpoint/data", model.config, header)
     records = dedupe_by_id(records)
-    check_feature_width(records, model)
 
     def chunks():  # ranked as they come, so no (videos, vocab) matrix is kept
         for start in range(0, len(records), 128):
@@ -325,11 +342,7 @@ _COMMANDS = {
         ("delta", float, 1.0),
         ("top_n", int, 20),
         ("output_prior", float, None, "start every output probability here instead of 0.5"),
-        ("preset", tuple(sorted(PRESETS)), None),
-        ("initial_lr", float, None),
-        ("decay", float, None),
-        ("decay_per_epoch", float, None),
-        ("staircase", bool, None),
+        *_SCHEDULE_OPTIONS,
         ("out_curve", str, None),
         ("out_checkpoint", str, None),
     ]),
@@ -343,11 +356,7 @@ _COMMANDS = {
         ("out_predictions", str, None),
     ]),
     "lr-curve": (cmd_lr_curve, "emit a learning-rate schedule as CSV", [
-        ("preset", tuple(sorted(PRESETS)), None),
-        ("initial_lr", float, None),
-        ("decay", float, None),
-        ("decay_per_epoch", float, None),
-        ("staircase", bool, None),
+        *_SCHEDULE_OPTIONS,
         ("epochs", float, 3.0),
         ("step", float, 0.25),
         ("out", str, None),
@@ -361,7 +370,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _effective(args, options)
         _banner(args.command, cfg)
-        return handler(cfg)
+        with np.errstate(all="ignore"):  # a failing run reports itself in its one error line
+            return handler(cfg)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

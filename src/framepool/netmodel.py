@@ -15,8 +15,9 @@ The parameter layout is decided here alone.  param_spec lists every trainable
 array by name and shape: per tower the assignment weights, assignment bias,
 centers and (NetFV) spreads, then the hidden and output layers.  All of them
 live in one contiguous float64 vector in that order; a Model reads and writes
-them through named views, model_backward returns the gradient in the same
-layout, and the optimizer and the checkpoint work on that layout too.
+them through named views.  model_backward returns the gradient as a Model of
+the same config, so gradients have the same layout and names, and the
+optimizer and the checkpoint work on that layout too.
 
 Everything differentiable here is backed by a hand-written backward pass;
 tests pin each piece to finite differences.
@@ -29,14 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pooling import (
-    FvParams,
-    VladParams,
-    fv_backward,
-    fv_forward,
-    vlad_backward,
-    vlad_forward,
-)
+from .pooling import Tower, fv_backward, fv_forward, vlad_backward, vlad_forward
 
 POOLING_KINDS = ("netvlad", "netfv")
 MODALITY_MODES = ("separate", "concatenated")
@@ -59,11 +53,12 @@ class ModelConfig:
             raise ValueError(f"pooling_kind must be one of {POOLING_KINDS}")
         if self.modality_mode not in MODALITY_MODES:
             raise ValueError(f"modality_mode must be one of {MODALITY_MODES}")
-        # the type check matters for a config read back from a checkpoint or a JSON file
+        # the type check matters for a config read back from a checkpoint or a JSON
+        # file; a bool passes isinstance(int) but fails as an array dimension
         for name, low in (("cluster_size", 1), ("hidden_size", 1), ("d_video", 1),
                           ("d_audio", 0), ("vocab_size", 1), ("audio_cluster_size", 0)):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < low:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
     @property
@@ -138,13 +133,14 @@ def parameter_count(config: ModelConfig) -> int:
 
 
 class Model:
-    """A classifier's parameters: one contiguous float64 vector in param_spec
-    order, read and written through named views.
+    """A classifier's parameters, or their gradients: one contiguous float64
+    vector in param_spec order, read and written through named views.
 
-    The pooling towers are VladParams (FvParams for NetFV) over the same views,
-    so an in-place update of `flat` is seen by every kernel.  `floored` holds
-    the views of `flat` that must stay at or above EPS_SPREAD: the NetFV
-    spreads, empty for NetVLAD.
+    `arrays` maps every param_spec name to its view; `video_pool` and
+    `audio_pool` (None without an audio tower) are Towers of the same views,
+    and the head has one attribute per array.  An in-place update of `flat`
+    is seen through all of them.  `floored` holds the views that must stay at
+    or above EPS_SPREAD: the NetFV spreads, empty for NetVLAD.
     """
 
     def __init__(self, config: ModelConfig, flat: np.ndarray | None = None):
@@ -156,9 +152,8 @@ class Model:
             tower, _, field = name.rpartition(".")
             if tower:
                 towers.setdefault(tower, {})[field] = view
-        pool = FvParams if config.pooling_kind == "netfv" else VladParams
-        self.video_pool = pool(**towers["video_pool"])
-        self.audio_pool = pool(**towers["audio_pool"]) if "audio_pool" in towers else None
+        self.video_pool = Tower(**towers["video_pool"])
+        self.audio_pool = Tower(**towers["audio_pool"]) if "audio_pool" in towers else None
         self.hidden_w = self.arrays["hidden_w"]  # (pooled_dim, H)
         self.hidden_b = self.arrays["hidden_b"]  # (H,)
         self.out_w = self.arrays["out_w"]  # (H, L)
@@ -166,10 +161,9 @@ class Model:
         self.floored = [fields["spreads"] for fields in towers.values() if "spreads" in fields]
 
 
-@dataclass
-class ModelGradients:
-    flat: np.ndarray  # gradient of Model.flat, in the same layout
-    arrays: dict[str, np.ndarray]  # named views into flat, as Model.arrays
+class ModelGradients(Model):
+    """Every parameter's gradient, laid out and named as the Model's own."""
+
     frames: list[np.ndarray]  # per record, input-shaped dX
 
 
@@ -296,30 +290,24 @@ def model_backward(dprobs: np.ndarray, cache: ForwardCache) -> ModelGradients:
     if dprobs.shape != cache.probs.shape:
         raise ValueError(f"dprobs shape {dprobs.shape}, cache expects {cache.probs.shape}")
 
+    grads = ModelGradients(cfg)
     p = cache.probs
     dlogits = dprobs * p * (1.0 - p)
-    d_out_w = cache.hidden_act.T @ dlogits
-    d_out_b = dlogits.sum(axis=0)
+    grads.out_w[...] = cache.hidden_act.T @ dlogits
+    grads.out_b[...] = dlogits.sum(axis=0)
     d_hidden_act = dlogits @ model.out_w.T
     d_hidden_pre = d_hidden_act * (cache.hidden_pre > 0)
-    d_hidden_w = cache.pooled.T @ d_hidden_pre
-    d_hidden_b = d_hidden_pre.sum(axis=0)
+    grads.hidden_w[...] = cache.pooled.T @ d_hidden_pre
+    grads.hidden_b[...] = d_hidden_pre.sum(axis=0)
     d_pooled = d_hidden_pre @ model.hidden_w.T
 
     pool_backward = _kernels(cfg.pooling_kind)[1]
-    video_width, audio = cfg.pooled_dim, None
-    if cache.audio_cache is not None:
+    if cache.audio_cache is None:
+        dframes = pool_backward(d_pooled, cache.video_cache, grads.video_pool)
+    else:
         video_width = cfg._tower_width(cfg.d_video, cfg.cluster_size)
-        audio = pool_backward(d_pooled[:, video_width:], cache.audio_cache)
-    video = pool_backward(d_pooled[:, :video_width], cache.video_cache)
-    dframes = video.frames if audio is None else np.concatenate([video.frames, audio.frames], 2)
-
-    flat = np.empty(model.flat.size)
-    arrays = param_views(flat, cfg)
-    towers = {"video_pool": video, "audio_pool": audio}
-    head = {"hidden_w": d_hidden_w, "hidden_b": d_hidden_b, "out_w": d_out_w, "out_b": d_out_b}
-    for name, view in arrays.items():
-        tower, _, field = name.rpartition(".")
-        view[...] = getattr(towers[tower], field) if tower else head[name]
-    return ModelGradients(flat=flat, arrays=arrays,
-                          frames=[row[:t] for row, t in zip(dframes, cache.lengths)])
+        dframes = np.concatenate([
+            pool_backward(d_pooled[:, :video_width], cache.video_cache, grads.video_pool),
+            pool_backward(d_pooled[:, video_width:], cache.audio_cache, grads.audio_pool)], 2)
+    grads.frames = [row[:t] for row, t in zip(dframes, cache.lengths)]
+    return grads

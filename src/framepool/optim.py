@@ -1,10 +1,12 @@
 """Adam and plain SGD over a model's flat parameter vector.
 
-Parameters, gradients and Adam's two moments share one layout (netmodel's
-param_spec), so a step is a few whole-vector elementwise operations, and
-bit-identical to stepping each named array on its own.  After every update
-the model's floored views, the NetFV spreads, are projected back to the
-positivity floor EPS_SPREAD; keeping that constraint by projection rather than
+Parameters, gradients (a ModelGradients is a Model of the same config) and
+Adam's two moments share one layout (netmodel's param_spec), so a step is a
+few whole-vector elementwise operations, and bit-identical to stepping each
+named array on its own.  A model step rejects a non-finite gradient, naming
+its array, before it changes anything.  After every update the model's
+floored views, the NetFV spreads, are projected back to the positivity floor
+EPS_SPREAD; keeping that constraint by projection rather than
 reparameterization keeps the gradients directly checkable.
 """
 

@@ -17,9 +17,13 @@ fv (2*K*D): sufficient statistics of the scaled residuals
 
 Backward passes run through the same moments: the descriptor gradient gives
 dS0, dS1 (and dS2), then dA = dS0 + X dS1^T + (X*X) dS2^T and
-dX = A dS1 + 2 X * (A dS2) before the softmax backward.  Parameter gradients
-are summed over the batch; the (B, T, D) dX is always returned, as the
-end-to-end gradient checks read it and it costs little.
+dX = A dS1 + 2 X * (A dS2) before the softmax backward.  A Tower holds a
+tower's parameters or their gradients: a backward kernel writes the parameter
+gradients, summed over the batch, into the Tower it is given and returns the
+(B, T, D) dX.  The kernels check frames and upstream gradients, not
+parameters: netmodel's layout fixes their shapes, checkpoint restore rejects
+non-finite values, and the optimizer and restore hold the spreads at or
+above EPS_SPREAD.
 
 The rules are hand-derived and pinned in the tests to finite differences and
 to the per-record reference kernels.  All math runs in float64.  A vector
@@ -34,55 +38,18 @@ from dataclasses import dataclass
 import numpy as np
 
 NORM_GUARD = 1e-12
-EPS_SPREAD = 1e-3  # hard floor for fv spreads, enforced here and by the optimizer
+EPS_SPREAD = 1e-3  # hard floor for fv spreads, kept by the optimizer and on restore
 
 
 @dataclass
-class VladParams:
+class Tower:
+    """One pooling tower's arrays, named as in netmodel.param_spec: its
+    parameters, or the gradients of those parameters."""
+
     assign_weights: np.ndarray  # (D, K)
     assign_bias: np.ndarray  # (K,)
     centers: np.ndarray  # (K, D)
-
-    @property
-    def d(self) -> int:
-        return self.assign_weights.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.assign_weights.shape[1]
-
-    def validate(self) -> None:
-        d, k = self.assign_weights.shape
-        if self.assign_bias.shape != (k,):
-            raise ValueError(f"assign_bias shape {self.assign_bias.shape}, expected ({k},)")
-        if self.centers.shape != (k, d):
-            raise ValueError(f"centers shape {self.centers.shape}, expected ({k}, {d})")
-        for name in ("assign_weights", "assign_bias", "centers"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"non-finite values in {name}")
-
-
-@dataclass
-class FvParams(VladParams):
-    spreads: np.ndarray  # (K, D), elementwise >= EPS_SPREAD
-
-    def validate(self) -> None:
-        super().validate()
-        if self.spreads.shape != self.centers.shape:
-            raise ValueError(f"spreads shape {self.spreads.shape}, expected {self.centers.shape}")
-        if not np.isfinite(self.spreads).all():
-            raise ValueError("non-finite values in spreads")
-        if np.any(self.spreads < EPS_SPREAD):
-            raise ValueError(f"spreads must be >= {EPS_SPREAD}")
-
-
-@dataclass
-class PoolGradients:
-    frames: np.ndarray  # (B, T, D), exactly zero on padded rows
-    assign_weights: np.ndarray
-    assign_bias: np.ndarray
-    centers: np.ndarray
-    spreads: np.ndarray | None = None
+    spreads: np.ndarray | None = None  # (K, D), NetFV only; parameters >= EPS_SPREAD
 
 
 def row_softmax(logits: np.ndarray) -> np.ndarray:
@@ -109,20 +76,21 @@ def _check_batch(frames: np.ndarray, lengths: np.ndarray, d: int):
     return frames, np.arange(frames.shape[1]) < lengths[:, None]
 
 
-def _assign(x: np.ndarray, params: VladParams, mask: np.ndarray) -> np.ndarray:
+def _assign(x: np.ndarray, params: Tower, mask: np.ndarray) -> np.ndarray:
     b, t, d = x.shape
     logits = (x.reshape(b * t, d) @ params.assign_weights).reshape(b, t, -1)
     return row_softmax(logits + params.assign_bias) * mask[:, :, None]
 
 
 def _assign_backward(x: np.ndarray, a: np.ndarray, da: np.ndarray, dx: np.ndarray,
-                     params: VladParams, **grads) -> PoolGradients:
+                     params: Tower, grads: Tower) -> np.ndarray:
     """Through the masked softmax into dX, W and b; padded rows have A = 0."""
     b, t, d = x.shape
     dz = (a * (da - (da * a).sum(axis=2, keepdims=True))).reshape(b * t, -1)
     dx += (dz @ params.assign_weights.T).reshape(b, t, d)
-    return PoolGradients(frames=dx, assign_weights=x.reshape(b * t, d).T @ dz,
-                         assign_bias=dz.sum(axis=0), **grads)
+    grads.assign_weights[...] = x.reshape(b * t, d).T @ dz
+    grads.assign_bias[...] = dz.sum(axis=0)
+    return dx
 
 
 def _normalize(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -139,9 +107,8 @@ def _normalize_backward(g: np.ndarray, y: np.ndarray, r: np.ndarray) -> np.ndarr
     return np.where(guarded, g, (g - y * dots) / np.where(guarded, 1.0, r[..., None]))
 
 
-def _check_upstream(upstream: np.ndarray, cache, width: int) -> np.ndarray:
+def _check_upstream(upstream: np.ndarray, expected: tuple[int, int]) -> np.ndarray:
     upstream = np.asarray(upstream, dtype=np.float64)
-    expected = (len(cache.frames), width)
     if upstream.shape != expected:
         raise ValueError(f"upstream shape {upstream.shape}, cache expects {expected}")
     return upstream
@@ -150,7 +117,7 @@ def _check_upstream(upstream: np.ndarray, cache, width: int) -> np.ndarray:
 @dataclass
 class _VladCache:
     frames: np.ndarray  # (B, T, D)
-    params: VladParams
+    params: Tower
     assign: np.ndarray  # (B, T, K) softmax rows, zero on padding
     mass: np.ndarray  # (B, K) = S0
     row_vecs: np.ndarray  # (B, K, D) intra-normalized cluster rows
@@ -159,11 +126,10 @@ class _VladCache:
     flat_norm: np.ndarray  # (B,)
 
 
-def vlad_forward(frames: np.ndarray, params: VladParams,
+def vlad_forward(frames: np.ndarray, params: Tower,
                  lengths: np.ndarray) -> tuple[np.ndarray, _VladCache]:
     """(B, K*D) descriptors of a padded (B, T, D) batch with per-video lengths."""
-    params.validate()
-    x, mask = _check_batch(frames, lengths, params.d)
+    x, mask = _check_batch(frames, lengths, len(params.assign_weights))
     a = _assign(x, params, mask)
     mass = a.sum(axis=1)
     v = np.matmul(a.transpose(0, 2, 1), x) - mass[:, :, None] * params.centers
@@ -174,22 +140,23 @@ def vlad_forward(frames: np.ndarray, params: VladParams,
     return flat_vec.copy(), cache
 
 
-def vlad_backward(upstream: np.ndarray, cache: _VladCache) -> PoolGradients:
+def vlad_backward(upstream: np.ndarray, cache: _VladCache, grads: Tower) -> np.ndarray:
+    """dX for a (B, K*D) upstream; the batch's parameter gradients go into `grads`."""
     p = cache.params
     x, a = cache.frames, cache.assign
-    upstream = _check_upstream(upstream, cache, p.k * p.d)
+    upstream = _check_upstream(upstream, cache.flat_vec.shape)
     d_rows = _normalize_backward(upstream, cache.flat_vec, cache.flat_norm)
     dv = _normalize_backward(d_rows.reshape(cache.row_vecs.shape), cache.row_vecs,
                              cache.row_norms)
     da = np.matmul(x, dv.transpose(0, 2, 1)) - (dv * p.centers).sum(axis=2)[:, None, :]
-    dc = -(cache.mass[:, :, None] * dv).sum(axis=0)
-    return _assign_backward(x, a, da, np.matmul(a, dv), p, centers=dc)
+    grads.centers[...] = -(cache.mass[:, :, None] * dv).sum(axis=0)
+    return _assign_backward(x, a, da, np.matmul(a, dv), p, grads)
 
 
 @dataclass
 class _FvCache:
     frames: np.ndarray  # (B, T, D)
-    params: FvParams
+    params: Tower
     assign: np.ndarray  # (B, T, K), zero on padding
     s0: np.ndarray  # (B, K, 1)
     s1: np.ndarray  # (B, K, D)
@@ -198,11 +165,10 @@ class _FvCache:
     norms: np.ndarray  # (B, 2)
 
 
-def fv_forward(frames: np.ndarray, params: FvParams,
+def fv_forward(frames: np.ndarray, params: Tower,
                lengths: np.ndarray) -> tuple[np.ndarray, _FvCache]:
     """(B, 2*K*D) descriptors of a padded (B, T, D) batch with per-video lengths."""
-    params.validate()
-    x, mask = _check_batch(frames, lengths, params.d)
+    x, mask = _check_batch(frames, lengths, len(params.assign_weights))
     a = _assign(x, params, mask)
     c, s = params.centers, params.spreads
     at = a.transpose(0, 2, 1)
@@ -217,10 +183,11 @@ def fv_forward(frames: np.ndarray, params: FvParams,
     return vecs.reshape(len(x), -1).copy(), cache
 
 
-def fv_backward(upstream: np.ndarray, cache: _FvCache) -> PoolGradients:
+def fv_backward(upstream: np.ndarray, cache: _FvCache, grads: Tower) -> np.ndarray:
+    """dX for a (B, 2*K*D) upstream; the batch's parameter gradients go into `grads`."""
     p = cache.params
     x, a, s0, s1 = cache.frames, cache.assign, cache.s0, cache.s1
-    upstream = _check_upstream(upstream, cache, 2 * p.k * p.d)
+    upstream = _check_upstream(upstream, (len(x), cache.vecs[0].size))
     df = _normalize_backward(upstream.reshape(cache.vecs.shape), cache.vecs, cache.norms)
     df1, df2 = np.moveaxis(df.reshape(cache.halves.shape), 1, 0)
     f1, f2 = np.moveaxis(cache.halves, 1, 0)
@@ -230,10 +197,10 @@ def fv_backward(upstream: np.ndarray, cache: _FvCache) -> PoolGradients:
     ds2 = df2 / (s * s)
     ds1 = g1 - 2.0 * c * ds2
     ds0 = (c * c * ds2 - c * g1 - df2).sum(axis=2)
-    dc = (2.0 * ds2 * (c * s0 - s1) - g1 * s0).sum(axis=0)
-    ds = -(df1 * f1 + 2.0 * df2 * (f2 + s0)).sum(axis=0) / s
+    grads.centers[...] = (2.0 * ds2 * (c * s0 - s1) - g1 * s0).sum(axis=0)
+    grads.spreads[...] = -(df1 * f1 + 2.0 * df2 * (f2 + s0)).sum(axis=0) / s
 
     da = (ds0[:, None, :] + np.matmul(x, ds1.transpose(0, 2, 1))
           + np.matmul(x * x, ds2.transpose(0, 2, 1)))
     dx = np.matmul(a, ds1) + 2.0 * x * np.matmul(a, ds2)
-    return _assign_backward(x, a, da, dx, p, centers=dc, spreads=ds)
+    return _assign_backward(x, a, da, dx, p, grads)

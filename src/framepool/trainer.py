@@ -32,6 +32,7 @@ from .losses import HuberParams, multilabel_loss
 from .metrics import GapConfig, gap, rank_probs
 from .netmodel import Model, ModelConfig, model_backward, model_forward, param_spec, param_views
 from .optim import AdamState, adam_step, init_adam_state, sgd_step
+from .pooling import EPS_SPREAD
 from .schedule import ScheduleParams, SLOW_ANNEAL, lr_at
 
 CHECKPOINT_MAGIC = b"VPCK"
@@ -208,9 +209,7 @@ def train(records: Sequence[VideoRecord], val_records: Sequence[VideoRecord],
             probs, cache = model_forward(batch, model)
             loss, dprobs = multilabel_loss(probs, targets, config.loss)
             if not math.isfinite(loss):
-                raise RuntimeError(
-                    f"non-finite loss at step {step}, epoch {fraction(step):.4f}"
-                )
+                raise ValueError(f"non-finite loss at step {step}, epoch {fraction(step):.4f}")
             grads = model_backward(dprobs, cache)
             if config.optimizer == "adam":
                 adam_step(model, grads, opt_state, lr)
@@ -291,9 +290,30 @@ def make_checkpoint(model: Model, opt_state: AdamState | None, global_step: int,
     return Checkpoint(meta=meta, arrays=arrays)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+
+
+# what restore_checkpoint accepts of each optimizer and position value
+_META_RULES = {
+    "beta1": ("a number in [0, 1)", lambda v: _is_finite(v) and 0 <= v < 1),
+    "beta2": ("a number in [0, 1)", lambda v: _is_finite(v) and 0 <= v < 1),
+    "eps": ("a finite number > 0", lambda v: _is_finite(v) and v > 0),
+    "step": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
+    "global_step": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
+    "epoch_fraction": ("a finite number >= 0", lambda v: _is_finite(v) and v >= 0),
+}
+
+
 def restore_checkpoint(cp: Checkpoint) -> tuple[Model, AdamState | None, int, float]:
     """(model, optimizer state, global step, epoch fraction) from a checkpoint;
-    exactly the arrays its config and optimizer imply, each finite and of its shape."""
+    exactly the arrays its config and optimizer imply, each finite and of its
+    shape, with NetFV spreads at or above EPS_SPREAD, and metadata values of
+    the kinds _META_RULES names."""
     try:
         config = ModelConfig(**cp.meta["model_config"])
         spec = param_spec(config)
@@ -305,6 +325,11 @@ def restore_checkpoint(cp: Checkpoint) -> tuple[Model, AdamState | None, int, fl
         position = cp.meta["global_step"], cp.meta["epoch_fraction"]
     except (KeyError, TypeError, ValueError) as exc:  # a missing key, or a bad value
         raise CheckpointFormatError(f"bad checkpoint metadata: {exc!r}") from None
+    checked = {**(hyper or {}), "global_step": position[0], "epoch_fraction": position[1]}
+    for key, value in checked.items():
+        what, ok = _META_RULES[key]
+        if not ok(value):
+            raise CheckpointFormatError(f"metadata {key}: expected {what}, got {value!r}")
     values = dict(cp.arrays)
 
     def gather(prefix: str) -> np.ndarray:
@@ -321,6 +346,9 @@ def restore_checkpoint(cp: Checkpoint) -> tuple[Model, AdamState | None, int, fl
         return np.concatenate(parts, dtype=np.float64)
 
     model = Model(config, gather(""))
+    for name, view in model.arrays.items():
+        if name.endswith(".spreads") and (view < EPS_SPREAD).any():
+            raise CheckpointFormatError(f"array {name}: spread below the floor {EPS_SPREAD}")
     state = None if hyper is None else AdamState(gather("adam.m."), gather("adam.v."), **hyper)
     if values:
         raise CheckpointFormatError(f"array {next(iter(values))}: unused by config and optimizer")

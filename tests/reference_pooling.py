@@ -4,7 +4,9 @@ These are the one-video-per-call NetVLAD and NetFV kernels that
 ``framepool.pooling`` replaced with padded (B, T, D) batch kernels.  They
 build the (T, K, D) residual tensor directly from the definitions, so they
 are slow but plainly correct; the tests compare the production kernels
-against them, the way ``gap_bruteforce`` judges ``gap``.
+against them, the way ``gap_bruteforce`` judges ``gap``.  They read their
+parameters from, and return their gradients in, records of their own, so the
+oracle depends on nothing in ``framepool.pooling`` but NORM_GUARD.
 """
 
 from __future__ import annotations
@@ -13,7 +15,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from framepool.pooling import NORM_GUARD, FvParams, PoolGradients, VladParams
+from framepool.pooling import NORM_GUARD
+
+
+@dataclass
+class Params:
+    assign_weights: np.ndarray  # (D, K)
+    assign_bias: np.ndarray  # (K,)
+    centers: np.ndarray  # (K, D)
+    spreads: np.ndarray | None = None  # (K, D), NetFV only
+
+    @property
+    def d(self) -> int:
+        return self.assign_weights.shape[0]
+
+    @property
+    def k(self) -> int:
+        return self.assign_weights.shape[1]
+
+
+@dataclass
+class Gradients:
+    frames: np.ndarray  # (T, D)
+    assign_weights: np.ndarray
+    assign_bias: np.ndarray
+    centers: np.ndarray
+    spreads: np.ndarray | None = None
 
 
 def row_softmax(logits: np.ndarray) -> np.ndarray:
@@ -52,7 +79,7 @@ def _normalize_backward(g: np.ndarray, y: np.ndarray, r: float) -> np.ndarray:
 @dataclass
 class _VladCache:
     frames: np.ndarray  # (T, D)
-    params: VladParams
+    params: Params
     assign: np.ndarray  # (T, K) softmax rows
     mass: np.ndarray  # (K,) column sums of assign
     row_vecs: np.ndarray  # (K, D) intra-normalized cluster rows
@@ -61,8 +88,7 @@ class _VladCache:
     flat_norm: float
 
 
-def vlad_forward(frames: np.ndarray, params: VladParams) -> tuple[np.ndarray, _VladCache]:
-    params.validate()
+def vlad_forward(frames: np.ndarray, params: Params) -> tuple[np.ndarray, _VladCache]:
     x = _check_frames(frames, params.d)
     a = row_softmax(x @ params.assign_weights + params.assign_bias)
     mass = a.sum(axis=0)
@@ -78,7 +104,7 @@ def vlad_forward(frames: np.ndarray, params: VladParams) -> tuple[np.ndarray, _V
     return flat_vec.copy(), cache
 
 
-def vlad_backward(upstream: np.ndarray, cache: _VladCache) -> PoolGradients:
+def vlad_backward(upstream: np.ndarray, cache: _VladCache) -> Gradients:
     p = cache.params
     k, d = p.k, p.d
     upstream = np.asarray(upstream, dtype=np.float64)
@@ -101,13 +127,13 @@ def vlad_backward(upstream: np.ndarray, cache: _VladCache) -> PoolGradients:
     dx += dz @ p.assign_weights.T
     dw = x.T @ dz
     db = dz.sum(axis=0)
-    return PoolGradients(frames=dx, assign_weights=dw, assign_bias=db, centers=dc)
+    return Gradients(frames=dx, assign_weights=dw, assign_bias=db, centers=dc)
 
 
 @dataclass
 class _FvCache:
     frames: np.ndarray
-    params: FvParams
+    params: Params
     assign: np.ndarray
     scaled: np.ndarray  # (T, K, D) residuals over spreads
     first_vec: np.ndarray  # (K*D,) normalized first-order half
@@ -116,8 +142,7 @@ class _FvCache:
     second_norm: float
 
 
-def fv_forward(frames: np.ndarray, params: FvParams) -> tuple[np.ndarray, _FvCache]:
-    params.validate()
+def fv_forward(frames: np.ndarray, params: Params) -> tuple[np.ndarray, _FvCache]:
     x = _check_frames(frames, params.d)
     a = row_softmax(x @ params.assign_weights + params.assign_bias)
     e = (x[:, None, :] - params.centers[None, :, :]) / params.spreads[None, :, :]
@@ -133,7 +158,7 @@ def fv_forward(frames: np.ndarray, params: FvParams) -> tuple[np.ndarray, _FvCac
     return np.concatenate([first_vec, second_vec]), cache
 
 
-def fv_backward(upstream: np.ndarray, cache: _FvCache) -> PoolGradients:
+def fv_backward(upstream: np.ndarray, cache: _FvCache) -> Gradients:
     p = cache.params
     k, d = p.k, p.d
     upstream = np.asarray(upstream, dtype=np.float64)
@@ -157,4 +182,4 @@ def fv_backward(upstream: np.ndarray, cache: _FvCache) -> PoolGradients:
     dx += dz @ p.assign_weights.T
     dw = x.T @ dz
     db = dz.sum(axis=0)
-    return PoolGradients(frames=dx, assign_weights=dw, assign_bias=db, centers=dc, spreads=ds)
+    return Gradients(frames=dx, assign_weights=dw, assign_bias=db, centers=dc, spreads=ds)

@@ -477,3 +477,53 @@ def test_train_top_n_zero_rejected_before_training(tmp_path, capsys):
     assert err.splitlines() == ["error: gap_top_n must be >= 1, got 0"]
     assert "steps" not in out
     assert not curve.exists() and not ckpt.exists()
+
+
+def test_eval_checkpoint_against_data_of_another_vocab_single_error_line(tmp_path, capsys):
+    # a vocab-10 model scored on vocab-30 data used to die with an IndexError
+    data = gen_dataset(tmp_path, capsys, videos=12)
+    wide = gen_dataset(tmp_path, capsys, name="wide.vfr", videos=12, vocab=30)
+    ckpt = tmp_path / "model.vpck"
+    code, _, err = run(capsys, "train", "--data", str(data), "--val", str(data),
+                       "--clusters", "2", "--hidden", "3", "--batch-size", "8",
+                       "--epochs", "0.5", "--out-checkpoint", str(ckpt))
+    assert code == 0, err
+    code, out, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(wide))
+    assert code == 1
+    assert err.splitlines() == ["error: checkpoint/data shape mismatch: "
+                                "(d_video, d_audio, vocab_size) (6, 2, 10) vs (6, 2, 30)"]
+    assert "GAP" not in out
+
+
+def test_train_phase2_data_of_another_vocab_single_error_line(tmp_path, capsys):
+    # the phase-2 file used to go unchecked, and training on it died with an IndexError
+    data = gen_dataset(tmp_path, capsys, videos=12)
+    wide = gen_dataset(tmp_path, capsys, name="wide.vfr", videos=12, vocab=30)
+    code, out, err = run(capsys, "train", "--data", str(data), "--val", str(data),
+                         "--phase2-data", str(wide), "--phase2-epochs", "0.5",
+                         "--epochs", "0.5", "--clusters", "2", "--hidden", "3")
+    assert code == 1
+    assert err.splitlines() == ["error: train/phase-2 shape mismatch: "
+                                "(d_video, d_audio, vocab_size) (6, 2, 10) vs (6, 2, 30)"]
+    assert "steps" not in out
+
+
+def test_train_non_finite_loss_prints_only_its_error_line(tmp_path, capsys):
+    # run as a process, so that numpy's floating-point warnings would reach stderr
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    data = gen_dataset(tmp_path, capsys)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "framepool", "train", "--data", str(data), "--val", str(data),
+         "--pooling", "netfv", "--initial-lr", "1e300", "--epochs", "1", "--eval-every", "5",
+         "--clusters", "2", "--hidden", "4", "--batch-size", "8"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: non-finite loss at step ")

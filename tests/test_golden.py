@@ -3,10 +3,12 @@
 Criterion 10 compares two runs of the same code with each other; this test
 compares the run with fixed SHA-256 digests of its curve CSV and its VPCK
 checkpoint, so that a change to the code is seen even when it is
-deterministic.  A pure refactor must keep both digests.  A change that
-reorders floating-point sums may move them; it then records the largest
-absolute parameter and Adam-moment difference against its parent commit
-(at most 1e-12) and updates the digests here.
+deterministic.  A second pair pins the same run with two NetFV towers, so
+that the gradients of both pooling kernels are pinned to the bit.  A pure
+refactor must keep every digest.  A change that reorders floating-point sums
+may move them; it then records the largest absolute parameter and
+Adam-moment difference against its parent commit (at most 1e-12) and updates
+the digests here.
 """
 
 import hashlib
@@ -18,19 +20,32 @@ from framepool.trainer import TrainConfig, checkpoint_bytes, curve_csv, make_che
 
 CURVE_SHA256 = "dacd687c596cd5b1e8246ad10101c59abb2b8f041a2f8c9f307eb41bc2c0c0a8"
 CHECKPOINT_SHA256 = "533e68e22e8793fca27ec105c9d175dcc995f076d80ad16ee7e944eff1507350"
+NETFV_CURVE_SHA256 = "ff04cf3db523b143e168b36cbdf4ed1ab56585ff73b94149567b88924403a5b4"
+NETFV_CHECKPOINT_SHA256 = "7c6a4ed4319abb8fd5af4bf449792a7ea4ae110d369ca8d855341474bea48bc5"
 
 
-def test_criterion_10_curve_and_checkpoint_bytes_are_pinned():
+def _run_digests(config):
     spec = SyntheticSpec(num_videos=40, vocab_size=8, d_video=5, d_audio=3,
                          t_min=2, t_max=4, labels_min=1, labels_max=2,
                          imbalance_exponent=1.0, noise_scale=0.05, seed=5)
     records = generate_synthetic(spec)
-    config = ModelConfig(pooling_kind="netvlad", cluster_size=2, hidden_size=8,
-                         d_video=5, d_audio=3, vocab_size=8)
     tc = TrainConfig(batch_size=4, epoch_budget=2.0, eval_every=0.5, seed=3,
                      schedule=ScheduleParams(initial_lr=0.01, decay=0.9, decay_per_epoch=1.0))
     result = train(records[:32], records[32:], init_model(config, seed=1), tc)
     blob = checkpoint_bytes(make_checkpoint(result.model, result.opt_state,
                                             result.global_step, result.epoch_fraction, tc))
-    assert hashlib.sha256(curve_csv(result.curve).encode()).hexdigest() == CURVE_SHA256
-    assert hashlib.sha256(blob).hexdigest() == CHECKPOINT_SHA256
+    return (hashlib.sha256(curve_csv(result.curve).encode()).hexdigest(),
+            hashlib.sha256(blob).hexdigest())
+
+
+def test_criterion_10_curve_and_checkpoint_bytes_are_pinned():
+    config = ModelConfig(pooling_kind="netvlad", cluster_size=2, hidden_size=8,
+                         d_video=5, d_audio=3, vocab_size=8)
+    assert _run_digests(config) == (CURVE_SHA256, CHECKPOINT_SHA256)
+
+
+def test_netfv_separate_curve_and_checkpoint_bytes_are_pinned():
+    config = ModelConfig(pooling_kind="netfv", cluster_size=2, hidden_size=8, d_video=5,
+                         d_audio=3, vocab_size=8, modality_mode="separate",
+                         audio_cluster_size=2)
+    assert _run_digests(config) == (NETFV_CURVE_SHA256, NETFV_CHECKPOINT_SHA256)

@@ -45,9 +45,8 @@ def zero_model(config):
     model = init_model(config, seed=0)
     for arr in model.arrays.values():
         arr[:] = 0.0
-    for tower in (model.video_pool, model.audio_pool):
-        if tower is not None and hasattr(tower, "spreads"):
-            tower.spreads[:] = 1.0  # zero spreads are illegal
+    for spreads in model.floored:
+        spreads[:] = 1.0  # zero spreads are illegal
     return model
 
 

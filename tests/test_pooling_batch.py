@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 import reference_pooling as ref
 from framepool.pooling import (
     EPS_SPREAD,
-    FvParams,
-    VladParams,
+    Tower,
     fv_backward,
     fv_forward,
     vlad_backward,
@@ -36,14 +35,22 @@ def make_params(rng, kind, d, k, spreads="random"):
                   assign_bias=rng.standard_normal(k),
                   centers=rng.standard_normal((k, d)))
     if kind == "netvlad":
-        return VladParams(**arrays)
+        return Tower(**arrays)
     if spreads == "floor":
         s = np.full((k, d), EPS_SPREAD)
     elif spreads == "small":
         s = rng.uniform(EPS_SPREAD, 0.002, size=(k, d))
     else:
         s = rng.uniform(0.5, 2.0, size=(k, d))
-    return FvParams(spreads=s, **arrays)
+    return Tower(spreads=s, **arrays)
+
+
+def backward_into_new(backward, upstream, cache):
+    """(dX, parameter gradients) of a backward kernel given a NaN-filled
+    Tower, so that an entry the kernel does not write shows."""
+    arrays = vars(cache.params).values()
+    grads = Tower(*(None if a is None else np.full_like(a, np.nan) for a in arrays))
+    return backward(upstream, cache, grads), grads
 
 
 def pad(records, fill=0.0):
@@ -66,14 +73,14 @@ def check_against_reference(kind, records, params, upstream):
     forward, backward, ref_forward, ref_backward = KERNELS[kind]
     frames, lengths = pad(records)
     desc, cache = forward(frames, params, lengths)
-    grads = backward(upstream, cache)
+    dx, grads = backward_into_new(backward, upstream, cache)
 
     totals = {}
     for b, record in enumerate(records):
-        ref_desc, ref_cache = ref_forward(record, params)
+        ref_desc, ref_cache = ref_forward(record, ref.Params(**vars(params)))
         assert_matches(desc[b], ref_desc, f"{kind} descriptor {b}")
         ref_grads = ref_backward(upstream[b], ref_cache)
-        assert_matches(grads.frames[b, : len(record)], ref_grads.frames, f"{kind} dX {b}")
+        assert_matches(dx[b, : len(record)], ref_grads.frames, f"{kind} dX {b}")
         for name in PARAM_NAMES:
             g = getattr(ref_grads, name)
             if g is not None:
@@ -118,8 +125,8 @@ def test_norm_guard_branch_matches_reference(kind):
     # the guard branch runs for it while the other record normalizes.
     center = np.array([[0.3, -1.2, 0.7]])
     arrays = dict(assign_weights=np.zeros((3, 1)), assign_bias=np.zeros(1), centers=center)
-    params = (VladParams(**arrays) if kind == "netvlad"
-              else FvParams(spreads=np.full((1, 3), 0.7), **arrays))
+    params = (Tower(**arrays) if kind == "netvlad"
+              else Tower(spreads=np.full((1, 3), 0.7), **arrays))
     rng = np.random.default_rng(12)
     records = [np.repeat(center, 4, axis=0), rng.standard_normal((2, 3))]
     width = 3 if kind == "netvlad" else 6
@@ -145,8 +152,8 @@ def test_padding_gets_zero_gradient_and_changes_nothing(kind):
     desc_noisy, cache_noisy = forward(noisy, params, lengths)
     np.testing.assert_array_equal(desc_zero, desc_noisy)
     for cache in (cache_zero, cache_noisy):
-        grads = backward(upstream, cache)
-        for row, t in zip(grads.frames, lengths):
+        dx, _ = backward_into_new(backward, upstream, cache)
+        for row, t in zip(dx, lengths):
             assert np.all(row[t:] == 0.0)
 
 
@@ -159,12 +166,12 @@ def test_ragged_batch_gradients_match_finite_differences(kind):
     upstream = rng.standard_normal((3, (2 if kind == "netfv" else 1) * 6))
 
     _, cache = forward(frames, params, lengths)
-    grads = backward(upstream, cache)
+    dx, grads = backward_into_new(backward, upstream, cache)
 
     def scalar():
         return float(np.sum(upstream * forward(frames, params, lengths)[0]))
 
-    assert_grad_matches(grads.frames, scalar, frames, "frames")
+    assert_grad_matches(dx, scalar, frames, "frames")
     for name in PARAM_NAMES:
         if getattr(grads, name) is not None:
             assert_grad_matches(getattr(grads, name), scalar, getattr(params, name), name)

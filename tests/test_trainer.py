@@ -31,6 +31,7 @@ from framepool.trainer import (
     train_phases,
 )
 from framepool.optim import init_adam_state
+from framepool.pooling import EPS_SPREAD
 
 
 VOCAB = 12
@@ -441,12 +442,45 @@ def test_restore_rejects_missing_meta_key():
 
 
 def test_restore_rejects_non_integer_dimension():
-    # 2.0 compares equal to 2 in a shape check, so the type must be checked itself
-    def edit(cp):
-        cp.meta["model_config"]["cluster_size"] = 2.0
+    # 2.0 compares equal to 2 in a shape check, so the type must be checked itself;
+    # true is an int to isinstance, and used to fail in reshape with a TypeError
+    for value in (2.0, True):
+        def edit(cp):
+            cp.meta["model_config"]["cluster_size"] = value
 
-    with pytest.raises(CheckpointFormatError, match="cluster_size must be an integer"):
+        with pytest.raises(CheckpointFormatError, match="cluster_size must be an integer"):
+            _restore_edited(edit)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("optimizer", "beta1", "0.9"),
+    ("optimizer", "eps", math.nan),
+    ("optimizer", "step", -3),
+    (None, "global_step", "x"),
+    (None, "epoch_fraction", None),
+])
+def test_restore_rejects_bad_metadata_value_naming_the_key(section, key, value):
+    # each of these used to restore, and failed or went wrong only in the resumed run
+    def edit(cp):
+        (cp.meta if section is None else cp.meta[section])[key] = value
+
+    with pytest.raises(CheckpointFormatError, match=f"metadata {key}: expected"):
         _restore_edited(edit)
+
+
+def test_fv_small_spread_rejected_on_restore():
+    # a CRC-valid NetFV checkpoint with a spread under the floor would score
+    # silently wrong, or non-finite, if it restored
+    config = ModelConfig(pooling_kind="netfv", cluster_size=2, hidden_size=2, d_video=2,
+                         d_audio=1, vocab_size=2)
+    for name in ("video_pool.spreads", "audio_pool.spreads"):
+        for spread in (EPS_SPREAD / 2, 0.0, -1.0):
+            model = init_model(config, seed=0)
+            model.arrays[name].flat[-1] = spread
+            blob = checkpoint_bytes(make_checkpoint(model, None, 0, 0.0,
+                                                    small_config(optimizer="sgd")))
+            with pytest.raises(CheckpointFormatError, match=f"array {name}: spread below"):
+                restore_checkpoint(checkpoint_from_bytes(blob))
 
 
 def _crc_valid(body: bytes) -> bytes:
