@@ -18,6 +18,14 @@ silently poisons every downstream gradient check.  A file is read whole into
 one buffer, through the bounds-checked ByteReader that VPCK checkpoints share,
 and each record's frames are a read-only view of that buffer.
 
+Reads and writes check records CHUNK_RECORDS at a time, each rule in one
+vectorized pass: finiteness over the chunk's frames as float32 (so a float64
+value past the float32 range is refused, not written as inf), label order as
+one segmented diff, the label range from each record's first and last label,
+and the id, T, width and label-count rules from plain integers.  The lowest
+failing record is reported with the message ``validate_record`` gives it.  A
+write emits each chunk in one call, from the very blocks the check built.
+
 The synthetic generator stands in for a real large-scale corpus: each label
 owns a unit-norm prototype direction, a video's frames are the average of its
 labels' prototypes plus spherical noise, and label frequencies follow a
@@ -28,6 +36,7 @@ recoverable, which gives end-to-end training a known-achievable target.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -41,6 +50,7 @@ _HEADER = struct.Struct("<4sIIIIQ")
 HEADER_SIZE = _HEADER.size  # 28 bytes
 MAX_ID_BYTES = 0xFFFF
 MAX_LABELS_PER_RECORD = 0xFFFF
+CHUNK_RECORDS = 256  # records checked, and written, per vectorized pass
 
 
 class DatasetFormatError(ValueError):
@@ -81,7 +91,9 @@ class VideoRecord:
 
 
 def validate_record(record: VideoRecord, header: DatasetHeader, index: int) -> None:
-    """Check record ``index`` against the header; raise DatasetFormatError if inconsistent."""
+    """Check record ``index`` against the header; raise DatasetFormatError if
+    inconsistent.  Reads and writes check a chunk of records at a time and call
+    this only to word the error of the first record that fails."""
     where = f"record {index}"
     if len(record.id) == 0:
         raise DatasetFormatError(f"{where}: empty id")
@@ -94,44 +106,92 @@ def validate_record(record: VideoRecord, header: DatasetHeader, index: int) -> N
         raise DatasetFormatError(
             f"{where}: frame width {frames.shape[1]} != d_video+d_audio = {header.feature_dim}"
         )
-    if not np.isfinite(frames).all():
-        raise DatasetFormatError(f"{where}: non-finite feature value")
+    with np.errstate(over="ignore"):  # a value past the float32 range is written as inf
+        if not np.isfinite(frames.astype(np.float32)).all():
+            raise DatasetFormatError(f"{where}: non-finite feature value")
     labels = np.asarray(record.labels)
     if labels.size == 0:
         raise DatasetFormatError(f"{where}: empty label list")
     if labels.size > MAX_LABELS_PER_RECORD:
         raise DatasetFormatError(f"{where}: more than {MAX_LABELS_PER_RECORD} labels")
-    if np.any(np.diff(labels) <= 0):
+    if labels.ndim != 1 or labels.dtype.kind not in "iu":
+        raise DatasetFormatError(
+            f"{where}: label ids must be a 1-D integer array, got {labels.dtype} {labels.shape}"
+        )
+    if np.any(labels[1:] <= labels[:-1]):
         raise DatasetFormatError(f"{where}: labels must be strictly ascending")
     if labels[0] < 0 or labels[-1] >= header.vocab_size:
         raise DatasetFormatError(f"{where}: label id outside [0, {header.vocab_size})")
 
 
+def _check_chunk(ids: list, frames: list, labels: list, header: DatasetHeader,
+                 start: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The records numbered ``start, start + 1, ...``, given as columns, as one
+    float32 frame block, one int64 label block and each record's label end in
+    it.  Each rule runs once over the chunk; the lowest-numbered record that
+    breaks one raises the error ``validate_record`` words for it."""
+    width, bad = header.feature_dim, len(ids)
+    for i, (video_id, rows, label_ids) in enumerate(zip(ids, frames, labels)):
+        if not (0 < len(video_id) <= MAX_ID_BYTES and rows.ndim == 2 and rows.shape[0] >= 1
+                and rows.shape[1] == width and 0 < label_ids.size <= MAX_LABELS_PER_RECORD
+                and label_ids.ndim == 1 and label_ids.dtype.kind in "iu"):
+            bad = i
+            break
+    # the rules below need the shapes above, so they run on the records before `bad`
+    with np.errstate(over="ignore"):
+        block = np.concatenate(frames[:bad] or [np.empty((0, width))], dtype="<f4",
+                               casting="unsafe")
+    finite = np.isfinite(block)
+    if not finite.all():
+        row_ends = np.cumsum([len(rows) for rows in frames[:bad]])
+        bad = int(np.searchsorted(row_ends, np.argmin(finite.all(axis=1)), "right"))
+    sizes = np.array([label_ids.size for label_ids in labels[:bad]], dtype=np.int64)
+    ends = np.cumsum(sizes)
+    flat = np.concatenate(labels[:bad] or [np.empty(0)], dtype=np.int64, casting="unsafe")
+    rising = flat[1:] > flat[:-1]
+    rising[ends[:-1] - 1] = True  # no order is asked across a record boundary
+    if not rising.all():
+        bad = min(bad, int(np.searchsorted(ends, np.argmin(rising) + 1, "right")))
+    outside = (flat[ends - sizes] < 0) | (flat[ends - 1] >= header.vocab_size)
+    if outside.any():
+        bad = min(bad, int(np.argmax(outside)))
+    if bad < len(ids):
+        validate_record(VideoRecord(ids[bad], frames[bad], labels[bad]), header, start + bad)
+        raise AssertionError(f"record {start + bad} failed the chunk check only")
+    return block, flat, ends
+
+
 def write_dataset(records: Sequence[VideoRecord], header: DatasetHeader, sink: BinaryIO) -> int:
     """Write a dataset to ``sink``; returns the number of bytes written.
 
-    ``header.record_count`` must equal ``len(records)``.
+    ``header.record_count`` must equal ``len(records)``.  Each chunk of records
+    is checked, and written in one call, from the float32 frame and ``<u4``
+    label blocks that the check built, so what is checked is what is written.
     """
     header.validate()
     if header.record_count != len(records):
         raise DatasetFormatError(
             f"header.record_count = {header.record_count} but {len(records)} records given"
         )
-    written = 0
-    written += sink.write(
+    written = sink.write(
         _HEADER.pack(MAGIC, FORMAT_VERSION, header.d_video, header.d_audio,
                      header.vocab_size, header.record_count)
     )
-    for index, record in enumerate(records):
-        validate_record(record, header, index)
-        frames = np.ascontiguousarray(record.frames, dtype="<f4")
-        labels = np.ascontiguousarray(np.asarray(record.labels), dtype="<u4")
-        written += sink.write(struct.pack("<H", len(record.id)))
-        written += sink.write(record.id)
-        written += sink.write(struct.pack("<I", frames.shape[0]))
-        written += sink.write(frames.tobytes())
-        written += sink.write(struct.pack("<H", labels.size))
-        written += sink.write(labels.tobytes())
+    row_bytes = 4 * header.feature_dim
+    for start in range(0, len(records), CHUNK_RECORDS):
+        chunk = records[start:start + CHUNK_RECORDS]
+        ids, frames = [r.id for r in chunk], [r.frames for r in chunk]
+        block, flat, ends = _check_chunk(ids, frames, [np.asarray(r.labels) for r in chunk],
+                                         header, start)
+        frame_bytes = memoryview(block).cast("B")
+        label_bytes = memoryview(flat.astype("<u4")).cast("B")
+        parts, at, label_at = [], 0, 0
+        for video_id, t, end in zip(ids, [len(rows) for rows in frames], ends.tolist()):
+            parts += (struct.pack("<H", len(video_id)), video_id, struct.pack("<I", t),
+                      frame_bytes[at:at + t * row_bytes], struct.pack("<H", end - label_at),
+                      label_bytes[4 * label_at:4 * end])
+            at, label_at = at + t * row_bytes, end
+        written += sink.write(b"".join(parts))
     return written
 
 
@@ -146,25 +206,30 @@ class ByteReader:
         return len(self.buf) - self.pos
 
     def _advance(self, n: int, what: str) -> int:
-        if n > self.left():
+        at = self.pos  # the offset of the n bytes passed over
+        if n > len(self.buf) - at:
             raise self.error(f"truncated file while reading {what}")
-        self.pos += n
-        return self.pos - n  # the offset of the n bytes passed over
+        self.pos = at + n
+        return at
 
     def take(self, n: int, what: str) -> bytes:
-        return self.array(np.uint8, n, what).tobytes()
+        at = self._advance(n, what)
+        return bytes(self.buf[at:at + n])
 
     def unpack(self, fmt: str, what: str) -> tuple:
         return struct.unpack_from(fmt, self.buf, self._advance(struct.calcsize(fmt), what))
 
-    def array(self, dtype, count: int, what: str) -> np.ndarray:
+    def array(self, dtype, shape: int | tuple[int, ...], what: str) -> np.ndarray:
         dtype = np.dtype(dtype)
-        return np.frombuffer(self.buf, dtype, count, self._advance(count * dtype.itemsize, what))
+        size = math.prod(shape) if isinstance(shape, tuple) else shape
+        return np.ndarray(shape, dtype, self.buf, self._advance(size * dtype.itemsize, what))
 
 
 def read_dataset(source: BinaryIO) -> tuple[DatasetHeader, list[VideoRecord]]:
-    """The header and records of ``source``, read to its end into one buffer;
-    each record is validated as it is parsed, and trailing bytes are an error."""
+    """The header and records of ``source``, read to its end into one buffer.
+    Records are parsed one by one and checked a chunk at a time; a record that
+    breaks a rule is reported before a later one that is cut short, and
+    trailing bytes are an error."""
     reader = ByteReader(source.read(), DatasetFormatError)
     magic, version, *fields = reader.unpack(_HEADER.format, "header")
     if magic != MAGIC:
@@ -173,7 +238,16 @@ def read_dataset(source: BinaryIO) -> tuple[DatasetHeader, list[VideoRecord]]:
         raise DatasetFormatError(f"unsupported format version {version}")
     header = DatasetHeader(*fields)  # d_video, d_audio, vocab_size, record_count
     header.validate()
-    records = []
+    records: list[VideoRecord] = []
+    ids, frames, labels = [], [], []  # the records parsed but not yet checked
+
+    def keep_checked() -> None:
+        _, flat, ends = _check_chunk(ids, frames, labels, header, len(records))
+        bounds = [0, *ends.tolist()]
+        int_labels = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+        records.extend(map(VideoRecord, ids, frames, int_labels))
+        del ids[:], frames[:], labels[:]
+
     for index in range(header.record_count):
         try:
             (id_len,) = reader.unpack("<H", "id length")
@@ -181,13 +255,18 @@ def read_dataset(source: BinaryIO) -> tuple[DatasetHeader, list[VideoRecord]]:
             (t,) = reader.unpack("<I", "frame count")
             if t < 1:
                 raise DatasetFormatError("frame count must be >= 1")
-            frames = reader.array("<f4", t * header.feature_dim, "frame payload").reshape(t, -1)
+            rows = reader.array("<f4", (t, header.feature_dim), "frame payload")
             (n_labels,) = reader.unpack("<H", "label count")
-            labels = reader.array("<u4", n_labels, "labels").astype(np.int64)
+            label_ids = reader.array("<u4", n_labels, "labels")
         except DatasetFormatError as exc:
+            keep_checked()
             raise DatasetFormatError(f"record {index}: {exc}") from None
-        records.append(VideoRecord(id=video_id, frames=frames, labels=labels))
-        validate_record(records[-1], header, index)
+        ids.append(video_id)
+        frames.append(rows)
+        labels.append(label_ids)
+        if len(ids) == CHUNK_RECORDS:
+            keep_checked()
+    keep_checked()
     if reader.left():
         raise DatasetFormatError(f"{reader.left()} bytes after the last record")
     return header, records

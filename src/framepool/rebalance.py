@@ -49,9 +49,10 @@ def label_frequency_stats(records: Sequence[VideoRecord], vocab_size: int) -> La
         raise ValueError("empty dataset")
     if vocab_size < 1:
         raise ValueError(f"vocab_size must be >= 1, got {vocab_size}")
-    counts = np.zeros(vocab_size, dtype=np.int64)
-    for record in records:
-        counts[record.labels] += 1
+    labels = np.concatenate([record.labels for record in records])
+    if labels.min() < 0 or labels.max() >= vocab_size:
+        raise ValueError(f"label id outside [0, {vocab_size})")
+    counts = np.bincount(labels, minlength=vocab_size)
     order = np.lexsort((np.arange(vocab_size), -counts))
     coverage = np.cumsum(counts[order]) / counts.sum()
     return LabelStats(counts=counts, order=order, coverage=coverage)
@@ -65,7 +66,13 @@ def build_tail_subset(records: Sequence[VideoRecord], rank_threshold: int,
             f"rank_threshold must be in [0, {vocab_size}), got {rank_threshold}"
         )
     ranks = label_frequency_stats(records, vocab_size).ranks
-    return [r for r in records if int(ranks[r.labels].max()) > rank_threshold]
+    sizes = np.array([record.labels.size for record in records])
+    if not sizes.all():
+        raise ValueError(f"record {np.argmin(sizes)} has no labels")
+    starts = np.cumsum(sizes) - sizes
+    labels = np.concatenate([record.labels for record in records])
+    worst = np.maximum.reduceat(ranks[labels], starts)  # each record's rarest label
+    return [records[i] for i in np.flatnonzero(worst > rank_threshold)]
 
 
 def is_hard(record: VideoRecord) -> bool:

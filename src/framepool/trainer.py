@@ -130,17 +130,29 @@ def dedupe_by_id(records: Sequence[VideoRecord]) -> list[VideoRecord]:
     return out
 
 
-def check_feature_width(records: Sequence[VideoRecord], model: Model) -> None:
-    """Reject, before any work, a record whose width is not the model's."""
+def check_records(records: Sequence[VideoRecord], model: Model) -> None:
+    """Reject, before any work, the first record whose feature width is not the
+    model's or that has a label id outside [0, vocab_size)."""
+    if not records:
+        return
+    vocab, dim = model.config.vocab_size, model.config.feature_dim
+    labels = np.concatenate([record.labels for record in records])
+    owners = np.repeat(np.arange(len(records)), [record.labels.size for record in records])
+    outside = owners[(labels < 0) | (labels >= vocab)]
+    first_outside = outside[0] if outside.size else -1
     for i, record in enumerate(records):
-        if record.frames.shape[1] != model.config.feature_dim:
+        if record.frames.shape[1] != dim:
             raise ValueError(f"record {i} has feature width {record.frames.shape[1]}, "
-                             f"model feature_dim is {model.config.feature_dim}")
+                             f"model feature_dim is {dim}")
+        if i == first_outside:
+            raise ValueError(f"record {i} has a label id outside the model's vocabulary "
+                             f"[0, {vocab})")
 
 
 def evaluate(records: Sequence[VideoRecord], model: Model, loss_params: HuberParams,
              batch_size: int = 128, top_n: int = 20) -> tuple[float, float]:
     """(GAP, mean loss) over the unique videos of a record list."""
+    check_records(records, model)
     records = dedupe_by_id(records)
     if not records:
         raise ValueError("nothing to evaluate")
@@ -167,8 +179,8 @@ def train(records: Sequence[VideoRecord], val_records: Sequence[VideoRecord],
         raise ValueError("empty training dataset")
     if len(val_records) == 0:
         raise ValueError("empty validation dataset")
-    check_feature_width(records, model)
-    check_feature_width(val_records, model)
+    check_records(records, model)
+    check_records(val_records, model)
 
     b = config.batch_size
     spe = steps_per_epoch(n, b)
@@ -413,8 +425,8 @@ def _parse_body(body: bytes) -> Checkpoint:
         if code not in _CODE_DTYPES:
             raise CheckpointFormatError(f"array {name}: unknown dtype code {code}")
         shape = tuple(reader.array("<u4", ndim, f"array {name} shape").tolist())
-        arr = reader.array(_CODE_DTYPES[code], math.prod(shape), f"array {name}")
-        arrays.append((name, arr.reshape(shape).astype(arr.dtype.newbyteorder("="))))
+        arr = reader.array(_CODE_DTYPES[code], shape, f"array {name}")
+        arrays.append((name, arr.astype(arr.dtype.newbyteorder("="))))
     if reader.left():
         raise CheckpointFormatError("trailing bytes after last array")
     return Checkpoint(meta=meta, arrays=arrays)

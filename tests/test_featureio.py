@@ -1,5 +1,6 @@
 import io
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,6 +206,13 @@ def test_label_out_of_vocab_rejected():
         write_dataset([bad], header, io.BytesIO())
 
 
+def test_negative_label_rejected_on_write():
+    header = DatasetHeader(d_video=1, d_audio=0, vocab_size=3, record_count=2)
+    good = VideoRecord(id=b"a", frames=np.ones((1, 1)), labels=np.array([0, 2]))
+    bad = VideoRecord(id=b"b", frames=np.ones((1, 1)), labels=np.array([-1, 2]))
+    with pytest.raises(DatasetFormatError, match=r"^record 1: label id outside \[0, 3\)$"):
+        write_dataset([good, bad], header, io.BytesIO())
+
 def test_descending_labels_rejected():
     header = DatasetHeader(d_video=1, d_audio=0, vocab_size=5, record_count=1)
     bad = VideoRecord(id=b"x", frames=np.ones((1, 1), dtype=np.float32),
@@ -302,3 +310,84 @@ def test_mutated_file_is_rejected_or_reencodes_to_the_same_bytes(mutations):
     sink = io.BytesIO()
     write_dataset(records, header, sink)
     assert sink.getvalue() == bytes(blob)
+
+
+def test_frames_past_the_float32_range_rejected_on_write():
+    header = DatasetHeader(d_video=2, d_audio=0, vocab_size=4, record_count=2)
+    good = VideoRecord(id=b"a", frames=np.ones((1, 2)), labels=np.array([0]))
+    huge = VideoRecord(id=b"b", frames=np.array([[1.0, 1e39]]), labels=np.array([1]))
+    with pytest.raises(DatasetFormatError, match="^record 1: non-finite feature value$"):
+        write_dataset([good, huge], header, io.BytesIO())
+
+
+def test_non_integer_labels_rejected_on_write():
+    header = DatasetHeader(d_video=1, d_audio=0, vocab_size=4, record_count=2)
+    good = VideoRecord(id=b"a", frames=np.ones((1, 1)), labels=np.array([0]))
+    half = VideoRecord(id=b"b", frames=np.ones((1, 1)), labels=np.array([0.5]))
+    with pytest.raises(DatasetFormatError, match="^record 1: label ids must be a 1-D integer"):
+        write_dataset([good, half], header, io.BytesIO())
+
+
+def test_unsigned_descending_labels_rejected_on_write():
+    header = DatasetHeader(d_video=1, d_audio=0, vocab_size=9, record_count=1)
+    bad = VideoRecord(id=b"x", frames=np.ones((1, 1)), labels=np.array([5, 3], dtype=np.uint64))
+    with pytest.raises(DatasetFormatError, match="^record 0: labels must be strictly ascending$"):
+        write_dataset([bad], header, io.BytesIO())
+
+
+def _nan_at(blob: bytearray, record: int, dim: int) -> None:
+    """Overwrite the first feature of `record` in a file of 1-byte ids and T=1."""
+    at = HEADER_SIZE
+    for _ in range(record):
+        (n_labels,) = struct.unpack_from("<H", blob, at + 7 + 4 * dim)
+        at += 7 + 4 * dim + 2 + 4 * n_labels
+    blob[at + 7:at + 11] = struct.pack("<f", np.nan)
+
+
+@pytest.mark.parametrize("first, second", [(3, 300), (300, 301), (255, 256)])
+def test_two_bad_records_report_the_lower_index(first, second):
+    n = 600
+    header = DatasetHeader(d_video=2, d_audio=0, vocab_size=4, record_count=n)
+    records = [VideoRecord(id=b"v", frames=np.ones((1, 2), np.float32), labels=np.array([1, 2]))
+               for _ in range(n)]
+    bad = list(records)
+    bad[first] = VideoRecord(id=b"v", frames=np.ones((1, 2)), labels=np.array([2, 1]))
+    bad[second] = VideoRecord(id=b"", frames=np.ones((1, 2)), labels=np.array([1]))
+    with pytest.raises(DatasetFormatError, match=f"^record {first}: labels must be"):
+        write_dataset(bad, header, io.BytesIO())
+    sink = io.BytesIO()
+    write_dataset(records, header, sink)
+    blob = bytearray(sink.getvalue())
+    _nan_at(blob, second, 2)
+    _nan_at(blob, first, 2)
+    with pytest.raises(DatasetFormatError, match=f"^record {first}: non-finite feature value$"):
+        read_dataset(io.BytesIO(bytes(blob)))
+    # a bad record is reported before a later record that is cut short
+    cut = bytes(blob[:HEADER_SIZE + (second + 1) * (7 + 8 + 2 + 8) - 1])
+    with pytest.raises(DatasetFormatError, match=f"^record {first}: non-finite"):
+        read_dataset(io.BytesIO(cut))
+
+
+def test_clean_read_and_write_word_no_record_check(monkeypatch):
+    calls = []
+    monkeypatch.setattr("framepool.featureio.validate_record", lambda *a: calls.append(a))
+    spec = SyntheticSpec(num_videos=700, vocab_size=9, d_video=3, d_audio=1, seed=6)
+    records = generate_synthetic(spec)
+    _, got = roundtrip(records, spec.header())
+    assert len(got) == 700
+    assert calls == []
+
+
+def test_header_claiming_2_pow_60_records_fails_at_record_0_without_allocating():
+    blob = (struct.pack("<4sIIIIQ", b"VFR1", 1, 2, 0, 3, 2**60)
+            + struct.pack("<H", 5) + b"abcde" + struct.pack("<I", 1) + b"\x00")
+    assert len(blob) == 40
+    tracemalloc.start()
+    try:
+        with pytest.raises(DatasetFormatError,
+                           match="^record 0: truncated file while reading frame payload$"):
+            read_dataset(io.BytesIO(blob))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000

@@ -9,10 +9,18 @@ refactor must keep every digest.  A change that reorders floating-point sums
 may move them; it then records the largest absolute parameter and
 Adam-moment difference against its parent commit (at most 1e-12) and updates
 the digests here.
+
+The data files are pinned the same way: a toy ``gen`` VFR, its ``stats`` CSV
+and both ``rebalance`` outputs.  Their bytes follow from the generator, the
+VFR codec and the rebalance recipes alone, so no change short of a new
+format or a new recipe may move them.
 """
 
+import contextlib
 import hashlib
+import io
 
+from framepool.cli import main
 from framepool.featureio import SyntheticSpec, generate_synthetic
 from framepool.netmodel import ModelConfig, init_model
 from framepool.schedule import ScheduleParams
@@ -22,6 +30,12 @@ CURVE_SHA256 = "dacd687c596cd5b1e8246ad10101c59abb2b8f041a2f8c9f307eb41bc2c0c0a8
 CHECKPOINT_SHA256 = "533e68e22e8793fca27ec105c9d175dcc995f076d80ad16ee7e944eff1507350"
 NETFV_CURVE_SHA256 = "ff04cf3db523b143e168b36cbdf4ed1ab56585ff73b94149567b88924403a5b4"
 NETFV_CHECKPOINT_SHA256 = "7c6a4ed4319abb8fd5af4bf449792a7ea4ae110d369ca8d855341474bea48bc5"
+DATA_SHA256 = {
+    "data.vfr": "ace9c91631bc9e0ba324ce4f94d2212a6c05c3786d99015e91dd08f8bf58f3ec",
+    "stats.csv": "d6fd898c342c4239a2ef457033ccb87f3d9073e3f9249486e46078aabb0642a5",
+    "hard.vfr": "5917f718dc2c7beba7ece45c0114106a067edbf6b35bd235a2d043c487247438",
+    "tail.vfr": "c218e1d8f18ddbb1c8e702857371f7ae5881ed14dd874322aa532744647041d8",
+}
 
 
 def _run_digests(config):
@@ -49,3 +63,21 @@ def test_netfv_separate_curve_and_checkpoint_bytes_are_pinned():
                          d_audio=3, vocab_size=8, modality_mode="separate",
                          audio_cluster_size=2)
     assert _run_digests(config) == (NETFV_CURVE_SHA256, NETFV_CHECKPOINT_SHA256)
+
+
+def test_gen_stats_and_rebalance_bytes_are_pinned(tmp_path):
+    # 600 videos, and 1,000-odd in the hard subset, span several codec chunks
+    data = str(tmp_path / "data.vfr")
+    commands = [
+        ["gen", "--videos", "600", "--vocab", "30", "--seed", "4", "--out", data],
+        ["stats", "--data", data, "--out", str(tmp_path / "stats.csv")],
+        ["rebalance", "--data", data, "--mode", "hard", "--out", str(tmp_path / "hard.vfr")],
+        ["rebalance", "--data", data, "--mode", "tail", "--rank-threshold", "5",
+         "--out", str(tmp_path / "tail.vfr")],
+    ]
+    for argv in commands:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in DATA_SHA256}
+    assert digests == DATA_SHA256

@@ -536,3 +536,18 @@ def test_checkpoint_body_errors_are_format_errors():
     with pytest.raises(CheckpointFormatError, match="malformed"):
         checkpoint_from_bytes(_crc_valid(header + struct.pack("<I", 2) + b"\xff\xfe"
                                          + struct.pack("<I", 0)))
+
+
+@pytest.mark.parametrize("label", [VOCAB, -1])
+def test_train_and_evaluate_reject_a_label_outside_the_vocabulary(label):
+    records = make_records()
+    val = list(make_records(num_videos=12, seed=8))
+    val[5] = VideoRecord(id=b"odd", frames=val[5].frames, labels=np.array([label]))
+    model = make_model()
+    before = params_of(model)
+    message = rf"^record 5 has a label id outside the model's vocabulary \[0, {VOCAB}\)$"
+    with pytest.raises(ValueError, match=message):
+        train(records, val, model, small_config())
+    with pytest.raises(ValueError, match=message):
+        evaluate(val, model, TrainConfig(batch_size=4).loss)
+    assert_params_equal(before, params_of(model))
