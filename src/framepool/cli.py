@@ -243,18 +243,25 @@ def cmd_train(cfg: dict) -> int:
     return 0
 
 
+def _decoded_id(video_id: bytes) -> str:
+    try:
+        return video_id.decode()
+    except UnicodeDecodeError:
+        raise ValueError(f"video {video_id!r}: id is not UTF-8") from None
+
+
 def _model_predictions(cfg: dict) -> tuple[Ranked, Truth]:
     model, _, _, _ = restore_checkpoint(load_checkpoint(cfg["checkpoint"]))
     header, records = load_dataset(cfg["data"])
     _check_same_shape("checkpoint/data", model.config, header)
     records = dedupe_by_id(records)
+    ids = [_decoded_id(r.id) for r in records]
 
     def chunks():  # ranked as they come, so no (videos, vocab) matrix is kept
         for start in range(0, len(records), 128):
             chunk = records[start:start + 128]
             probs, _ = model_forward([r.frames for r in chunk], model)
-            yield ([r.id.decode() for r in chunk], probs,
-                   label_targets(chunk, model.config.vocab_size))
+            yield ids[start:start + 128], probs, label_targets(chunk, model.config.vocab_size)
 
     return rank_probs(chunks(), cfg["top_n"])
 
@@ -268,6 +275,9 @@ def cmd_eval(cfg: dict) -> int:
         raise ValueError("pass either --predictions with --truth, "
                          "or --checkpoint with --data")
     if file_mode:
+        if cfg["out_predictions"] is not None:
+            raise ValueError("--out-predictions writes a checkpoint's predictions; "
+                             "pass it with --checkpoint and --data")
         for key in ("predictions", "truth"):
             _require(cfg, key)
         with open(cfg["predictions"]) as fh:

@@ -17,13 +17,20 @@ a truth mapping (CSV input); it also rejects a video with no truth entry or a
 duplicate label.  Both reject a non-finite confidence, naming the video.  gap,
 gap_bruteforce and miss_analysis keep each video's first n entries and take
 pairs too, ranking them through rank_pairs.  A Ranked iterates as (video_id,
-[(label, confidence), ...]), the pairs form write_predictions_csv writes.
+[(label, confidence), ...]).  write_predictions_csv writes a Ranked a column
+at a time: each id quoted once as csv quotes it, then each block of videos'
+rows formatted in one pass.
 
 Ties are broken deterministically everywhere: within a video by ascending
-label id (a stable argsort of -probs, a lexsort for pairs), so a tie across
-the n-th place keeps the lower label id; in the global pool by video input
-order, then label id (a stable sort of the entries, which are in that order).
-Two runs of the same evaluation are therefore bit-identical.
+label id, so a tie across the n-th place keeps the lower label id; in the
+global pool by video input order, then label id (a stable sort of the
+entries, which are in that order).  Two runs of the same evaluation are
+therefore bit-identical.  For pairs the within-video order is a lexsort.
+For probabilities it is what a stable argsort of -probs keeps, found from a
+partition: the n best labels of a row, sorted by label id and then stably by
+confidence.  That set is unique unless a confidence equal to the n-th one
+lies outside it, a tie across the n-th place; such rows alone are sorted in
+full.
 
 gap_bruteforce recounts precision at every rank from scratch over the same
 pool, O(M^2); it exists only to cross-check gap and must agree to 1e-12.
@@ -34,6 +41,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -90,6 +98,21 @@ class Truth:
     positives: np.ndarray  # (V,) int64
 
 
+def _top_labels(probs: np.ndarray, n: int) -> np.ndarray:
+    """np.argsort(-probs, axis=1, kind="stable")[:, :n], from a partition."""
+    if n >= probs.shape[1]:
+        return np.argsort(-probs, axis=1, kind="stable")
+    kept = np.sort(np.argpartition(-probs, n - 1, axis=1)[:, :n], axis=1)
+    top = np.take_along_axis(kept, np.argsort(-np.take_along_axis(probs, kept, axis=1),
+                                              axis=1, kind="stable"), axis=1)
+    # every label outside the partition scores no better than the n-th; one
+    # that scores the same makes the kept set depend on the partition
+    nth = np.take_along_axis(probs, top[:, -1:], axis=1)
+    straddle = np.flatnonzero(np.count_nonzero(probs >= nth, axis=1) > n)
+    top[straddle] = np.argsort(-probs[straddle], axis=1, kind="stable")[:, :n]
+    return top
+
+
 def rank_probs(chunks: Iterable[tuple[Sequence, np.ndarray, np.ndarray]],
                n: int) -> tuple[Ranked, Truth]:
     """Each video's n most probable labels, from (ids, probs, targets) chunks
@@ -102,7 +125,7 @@ def rank_probs(chunks: Iterable[tuple[Sequence, np.ndarray, np.ndarray]],
         if not finite.all():
             raise ValueError(f"video {chunk_ids[int(np.argmin(finite))]!r}: "
                              "non-finite confidence")
-        top = np.argsort(-probs, axis=1, kind="stable")[:, :n]
+        top = _top_labels(probs, n)
         ids.extend(chunk_ids)
         labels.append(top.ravel())
         confs.append(np.take_along_axis(probs, top, axis=1).ravel())
@@ -267,10 +290,28 @@ def read_truth_csv(lines: Iterable[str]) -> dict[str, set[int]]:
     return truth
 
 
-def write_predictions_csv(predictions: Ranked | Predictions) -> str:
+class _Echo:
+    """A csv.writer sink whose writerow returns the row it formatted."""
+
+    def write(self, text: str) -> str:
+        return text
+
+
+_quote_row = csv.writer(_Echo(), lineterminator="\n").writerow
+_CSV_BLOCK = 128  # videos formatted per join, so only one block's rows are held twice
+
+
+def write_predictions_csv(ranked: Ranked) -> str:
+    """video_id,label,confidence rows, each video's entries best first: the
+    bytes a csv.writer gives for (video_id, label, f"{conf:.10g}") rows."""
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["video_id", "label", "confidence"])
-    writer.writerows((video_id, label, f"{conf:.10g}")
-                     for video_id, items in predictions for label, conf in items)
+    out.write("video_id,label,confidence\n")
+    starts, counts = ranked.starts.tolist(), np.diff(ranked.starts).tolist()
+    row = "{}{},{:.10g}\n".format
+    for a in range(0, len(ranked.ids), _CSV_BLOCK):
+        b = min(a + _CSV_BLOCK, len(ranked.ids))
+        prefixes = [_quote_row((video_id, ""))[:-1] for video_id in ranked.ids[a:b]]
+        lo, hi = starts[a], starts[b]
+        out.write("".join(map(row, chain.from_iterable(map(repeat, prefixes, counts[a:b])),
+                              ranked.labels[lo:hi].tolist(), ranked.confs[lo:hi].tolist())))
     return out.getvalue()

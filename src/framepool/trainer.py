@@ -114,8 +114,9 @@ def epoch_permutation(seed: int, epoch: int, num_videos: int) -> np.ndarray:
 def label_targets(records: Sequence[VideoRecord], vocab_size: int) -> np.ndarray:
     """The (videos, vocab) 0/1 indicator of each record's labels."""
     out = np.zeros((len(records), vocab_size))
-    for i, record in enumerate(records):
-        out[i, record.labels] = 1.0
+    if records:
+        out[np.repeat(np.arange(len(records)), [len(r.labels) for r in records]),
+            np.concatenate([r.labels for r in records])] = 1.0
     return out
 
 

@@ -245,6 +245,47 @@ def test_eval_requires_exactly_one_input_mode(tmp_path, capsys):
     assert code == 1
 
 
+def test_eval_file_mode_rejects_out_predictions_before_reading(tmp_path, capsys):
+    # it used to score the files, exit 0 and write no predictions
+    predictions = tmp_path / "preds.csv"
+    predictions.write_text("video_id,label,confidence\nA,0,0.9\n")
+    truth = tmp_path / "truth.csv"
+    truth.write_text("video_id,label\nA,0\n")
+    out_predictions = tmp_path / "x.csv"
+    for inputs in ((predictions, truth), (tmp_path / "missing.csv", tmp_path / "none.csv")):
+        code, out, err = run(capsys, "eval", "--predictions", str(inputs[0]),
+                             "--truth", str(inputs[1]), "--out-predictions", str(out_predictions))
+        assert code == 1
+        assert err.splitlines() == ["error: --out-predictions writes a checkpoint's "
+                                    "predictions; pass it with --checkpoint and --data"]
+        assert "GAP" not in out
+        assert not out_predictions.exists()
+
+
+def test_eval_checkpoint_names_a_video_whose_id_is_not_utf8(tmp_path, capsys):
+    import dataclasses
+
+    from framepool.featureio import save_dataset
+
+    data = gen_dataset(tmp_path, capsys, videos=12)
+    ckpt = tmp_path / "model.vpck"
+    code, _, err = run(capsys, "train", "--data", str(data), "--val", str(data),
+                       "--clusters", "2", "--hidden", "3", "--batch-size", "8",
+                       "--epochs", "0.5", "--out-checkpoint", str(ckpt))
+    assert code == 0, err
+    header, records = load_dataset(str(data))
+    records[0] = dataclasses.replace(records[0], id=b"\xff\xfe")
+    bad = tmp_path / "bad_id.vfr"
+    save_dataset(str(bad), records, header)
+    preds = tmp_path / "preds.csv"
+    code, out, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(bad),
+                         "--out-predictions", str(preds))
+    assert code == 1
+    assert err.splitlines() == ["error: video b'\\xff\\xfe': id is not UTF-8"]
+    assert "GAP" not in out
+    assert not preds.exists()
+
+
 def test_train_then_eval_checkpoint_roundtrip(tmp_path, capsys):
     data = gen_dataset(tmp_path, capsys, name="train.vfr", videos=48, seed=1,
                        noise_scale=0.0)

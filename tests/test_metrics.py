@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from framepool.metrics import (
     GapConfig,
     MissReport,
+    Ranked,
     gap,
     gap_bruteforce,
     miss_analysis,
@@ -264,6 +266,29 @@ def test_tie_across_the_nth_place_keeps_the_lower_label_id():
     assert gap(pairs, {"a": {2}}, GapConfig(n=3)) == 1 / 3
 
 
+def test_partitioned_top_n_equals_full_stable_argsort():
+    # distinct confidences everywhere but in two rows: one where ten labels
+    # tie for the 19th to 28th places, and one where every label ties
+    rng = np.random.default_rng(7)
+    n_videos, n_labels, n = 300, 50, 20
+    probs = rng.uniform(size=(n_videos, n_labels))
+    order = np.argsort(-probs[137])
+    probs[137, order[18:28]] = probs[137, order[18]]
+    probs[200] = 0.25
+    targets = (rng.uniform(size=probs.shape) < 0.1).astype(float)
+    ids = [f"v{i}" for i in range(n_videos)]
+    chunks = [(ids[i:i + 128], probs[i:i + 128], targets[i:i + 128])
+              for i in range(0, n_videos, 128)]
+    ranked, truth = rank_probs(chunks, n)
+    top = np.argsort(-probs, axis=1, kind="stable")[:, :n]
+    np.testing.assert_array_equal(ranked.labels.reshape(n_videos, n), top)
+    np.testing.assert_array_equal(ranked.confs.reshape(n_videos, n),
+                                  np.take_along_axis(probs, top, axis=1))
+    np.testing.assert_array_equal(truth.hits.reshape(n_videos, n),
+                                  np.take_along_axis(targets, top, axis=1) != 0)
+    assert ranked.labels.reshape(n_videos, n)[200].tolist() == list(range(n))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**31), st.sampled_from([math.nan, math.inf, -math.inf]))
 def test_non_finite_probability_names_its_video(seed, bad):
@@ -348,7 +373,7 @@ def test_buckets_partition_missed_set(seed):
 
 
 def test_csv_roundtrip():
-    text = write_predictions_csv(FIXTURE_PREDICTIONS)
+    text = write_predictions_csv(rank_pairs(FIXTURE_PREDICTIONS, FIXTURE_TRUTH)[0])
     parsed = read_predictions_csv(text.splitlines())
     assert parsed == [("A", [(0, 0.9), (3, 0.7)]), ("B", [(1, 0.8), (4, 0.6), (2, 0.4)])]
 
@@ -360,6 +385,46 @@ def test_csv_roundtrip():
     assert text.splitlines()[0].startswith("total_videos,")
 
 
+def reference_predictions_csv(ranked):
+    """The row-by-row csv.writer walk the block writer replaced."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["video_id", "label", "confidence"])
+    writer.writerows((video_id, label, f"{conf:.10g}")
+                     for video_id, items in ranked for label, conf in items)
+    return out.getvalue()
+
+
+# 0, the smallest subnormal, a larger subnormal, the smallest normal, and
+# values that repeat exactly within and across videos
+_CONF_TIES = np.array([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-5, 1 / 3, 0.5, 1.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.text(alphabet=',"\r\n a\u00e9\u4e2d', max_size=5), min_size=1, max_size=8),
+       st.integers(1, 300), st.integers(0, 2**31))
+def test_block_writer_equals_row_walk(id_pool, n_videos, seed):
+    # more than 128 videos split into blocks; counts and ids vary per video
+    rng = np.random.default_rng(seed)
+    ids = [id_pool[int(i)] for i in rng.integers(len(id_pool), size=n_videos)]
+    counts = rng.integers(0, 6, size=n_videos)
+    m = int(counts.sum())
+    confs = np.where(rng.random(m) < 0.5, rng.choice(_CONF_TIES, size=m), rng.uniform(size=m))
+    ranked = Ranked(ids, rng.integers(0, 1000, size=m), confs,
+                    np.concatenate([[0], np.cumsum(counts)]))
+    assert write_predictions_csv(ranked) == reference_predictions_csv(ranked)
+
+
+def test_block_writer_quotes_ids_as_csv_does():
+    ranked = Ranked([' a,"b"', "x\ny", "\u00e9"], np.array([3, 1, 2]),
+                    np.array([0.5, 5e-324, 1.0]), np.array([0, 1, 2, 3]))
+    text = write_predictions_csv(ranked)
+    assert text == ('video_id,label,confidence\n" a,""b""",3,0.5\n'
+                    '"x\ny",1,4.940656458e-324\n\u00e9,2,1\n')
+    assert read_predictions_csv(io.StringIO(text, newline="")) == [
+        (' a,"b"', [(3, 0.5)]), ("x\ny", [(1, 5e-324)]), ("\u00e9", [(2, 1.0)])]
+
+
 def test_csv_bad_headers_rejected():
     with pytest.raises(ValueError, match="header"):
         read_predictions_csv(["vid,label,conf", "A,0,0.5"])
@@ -367,7 +432,7 @@ def test_csv_bad_headers_rejected():
         read_truth_csv(["id,lab", "A,0"])
 
 
-FUZZ_PREDICTIONS = write_predictions_csv(FIXTURE_PREDICTIONS)
+FUZZ_PREDICTIONS = write_predictions_csv(rank_pairs(FIXTURE_PREDICTIONS, FIXTURE_TRUTH)[0])
 FUZZ_TRUTH = "video_id,label\nA,0\nB,1\nB,2\n"
 _csv_text = st.text(alphabet='AB0123456789.,-+e"\r\n\x00 nai', min_size=1, max_size=6)
 _csv_mutations = st.one_of(
