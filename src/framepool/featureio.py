@@ -30,16 +30,22 @@ The synthetic generator stands in for a real large-scale corpus: each label
 owns a unit-norm prototype direction, a video's frames are the average of its
 labels' prototypes plus spherical noise, and label frequencies follow a
 power law over label ids (id 0 most frequent).  Labels are therefore linearly
-recoverable, which gives end-to-end training a known-achievable target.
+recoverable, which gives end-to-end training a known-achievable target.  Each
+video's label draws consume the generator's stream exactly as
+``rng.choice(vocab, k, replace=False, p=weights)`` would, and give the same
+labels, so a spec keeps its bytes; frames are built CHUNK_RECORDS videos at a
+time, and each record's frames are a row slice of its chunk's float32 block.
 """
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import math
 import os
 import struct
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import BinaryIO, Callable, Sequence
 
 import numpy as np
@@ -50,7 +56,7 @@ _HEADER = struct.Struct("<4sIIIIQ")
 HEADER_SIZE = _HEADER.size  # 28 bytes
 MAX_ID_BYTES = 0xFFFF
 MAX_LABELS_PER_RECORD = 0xFFFF
-CHUNK_RECORDS = 256  # records checked, and written, per vectorized pass
+CHUNK_RECORDS = 256  # records checked, written or generated per vectorized pass
 
 
 class DatasetFormatError(ValueError):
@@ -367,20 +373,67 @@ def label_prototypes(spec: SyntheticSpec) -> np.ndarray:
     return _draw_prototypes(np.random.default_rng(spec.seed), spec.vocab_size, spec.feature_dim)
 
 
+def _draw_labels(rng: np.random.Generator, cdf: list, weights: np.ndarray, k: int) -> list:
+    """The ascending labels ``rng.choice(len(weights), k, replace=False,
+    p=weights)`` draws, from the same stream: one bisect per draw on ``cdf``
+    (``weights``' normalized cumulative sum), and numpy's own loop over the
+    renormalized rest for the draws that repeat a label."""
+    found = set(map(bisect.bisect_right, repeat(cdf, k), rng.random(k).tolist()))
+    if len(found) < k and k > np.count_nonzero(weights):
+        raise ValueError("Fewer non-zero entries in p than size")
+    p = weights.copy()
+    while len(found) < k:
+        x = rng.random(k - len(found))
+        p[list(found)] = 0
+        rest = np.cumsum(p)
+        rest /= rest[-1]
+        found.update(rest.searchsorted(x, side="right").tolist())
+    return sorted(found)
+
+
+def _chunk_records(protos: np.ndarray, first: int, labels: list, noise: list,
+                   noise_scale: float) -> list[VideoRecord]:
+    """Records ``first, first + 1, ...`` from their label lists and (T, D)
+    noise draws: the mean of each record's prototypes plus the scaled noise,
+    cast to float32 in one block whose row slices are the records' frames."""
+    sizes = np.array([len(label_ids) for label_ids in labels])
+    base = np.empty((len(labels), protos.shape[1]))
+    # one (videos, k, D) mean per label count k sums in the order each video's own
+    # (k, D) mean does: pairwise when D = 1 and k >= 8, one label at a time otherwise
+    for k in np.unique(sizes).tolist():
+        rows = np.flatnonzero(sizes == k)
+        base[rows] = protos[[labels[i] for i in rows.tolist()]].mean(axis=1)
+    lengths = [len(rows) for rows in noise]
+    block = np.concatenate(noise)
+    block *= noise_scale
+    block += np.repeat(base, lengths, axis=0)
+    frames = block.astype(np.float32)
+    flat = np.fromiter(chain.from_iterable(labels), np.int64, int(sizes.sum()))
+    row_ends, label_ends = np.cumsum(lengths).tolist(), np.cumsum(sizes).tolist()
+    return [VideoRecord(f"v{first + i:06d}".encode(), frames[end - t:end], flat[stop - k:stop])
+            for i, (t, end, k, stop) in enumerate(zip(lengths, row_ends, sizes.tolist(),
+                                                     label_ends))]
+
+
 def generate_synthetic(spec: SyntheticSpec) -> list[VideoRecord]:
-    """Generate the corpus described by ``spec``; pure function of its fields."""
+    """Generate the corpus described by ``spec``; pure function of its fields.
+
+    Each video draws its label count, labels, T and noise from one stream in
+    that order; records are built ``CHUNK_RECORDS`` at a time."""
     spec.validate()
     rng = np.random.default_rng(spec.seed)
     protos = _draw_prototypes(rng, spec.vocab_size, spec.feature_dim)
     weights = label_weights(spec.vocab_size, spec.imbalance_exponent)
-    records = []
+    cdf = np.cumsum(weights)
+    cdf = (cdf / cdf[-1]).tolist()
+    records: list[VideoRecord] = []
+    labels, noise = [], []  # the chunk drawn but not yet built
     for v in range(spec.num_videos):
         k = int(rng.integers(spec.labels_min, spec.labels_max + 1))
-        labels = np.sort(rng.choice(spec.vocab_size, size=k, replace=False, p=weights))
+        labels.append(_draw_labels(rng, cdf, weights, k))
         t = int(rng.integers(spec.t_min, spec.t_max + 1))
-        base = protos[labels].mean(axis=0)
-        noise = rng.standard_normal((t, spec.feature_dim))
-        frames = (base[None, :] + spec.noise_scale * noise).astype(np.float32)
-        records.append(VideoRecord(id=f"v{v:06d}".encode(), frames=frames,
-                                   labels=labels.astype(np.int64)))
+        noise.append(rng.standard_normal((t, spec.feature_dim)))
+        if len(noise) == CHUNK_RECORDS or v == spec.num_videos - 1:
+            records += _chunk_records(protos, len(records), labels, noise, spec.noise_scale)
+            labels, noise = [], []
     return records

@@ -260,33 +260,45 @@ def _csv_rows(lines: Iterable[str], what: str) -> Iterator[list[str]]:
         raise ValueError(f"malformed {what} CSV: {exc}") from None
 
 
-def read_predictions_csv(lines: Iterable[str]) -> list[tuple[str, list[tuple[int, float]]]]:
-    """CSV with header video_id,label,confidence; rows grouped by first seen id."""
-    reader = _csv_rows(lines, "predictions")
-    header = next(reader, None)
-    if header != ["video_id", "label", "confidence"]:
-        raise ValueError(f"bad predictions header: {header}")
-    by_video: dict[str, list[tuple[int, float]]] = {}
-    for row in reader:
+def _data_rows(lines: Iterable[str], what: str, header: list[str]) -> Iterator[tuple[int, list]]:
+    """The non-empty rows after ``header``, each with its row number (the
+    header is row 1), checked to hold one field per header column."""
+    reader = _csv_rows(lines, what)
+    first = next(reader, None)
+    if first != header:
+        raise ValueError(f"bad {what} header: {first}")
+    for number, row in enumerate(reader, start=2):
         if not row:
             continue
-        video_id, label, conf = row
-        by_video.setdefault(video_id, []).append((int(label), float(conf)))
+        if len(row) != len(header):
+            raise ValueError(f"{what} row {number}: expected {len(header)} fields, got {len(row)}")
+        yield number, row
+
+
+def _field(kind: type, text: str, where: str, name: str):
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{where}: {name} {text!r} is not {noun}") from None
+
+
+def read_predictions_csv(lines: Iterable[str]) -> list[tuple[str, list[tuple[int, float]]]]:
+    """CSV with header video_id,label,confidence; rows grouped by first seen id."""
+    by_video: dict[str, list[tuple[int, float]]] = {}
+    for number, (video_id, label, conf) in _data_rows(lines, "predictions",
+                                                      ["video_id", "label", "confidence"]):
+        where = f"predictions row {number}"
+        by_video.setdefault(video_id, []).append(
+            (_field(int, label, where, "label"), _field(float, conf, where, "confidence")))
     return list(by_video.items())
 
 
 def read_truth_csv(lines: Iterable[str]) -> dict[str, set[int]]:
     """CSV with header video_id,label; one row per ground-truth pair."""
-    reader = _csv_rows(lines, "truth")
-    header = next(reader, None)
-    if header != ["video_id", "label"]:
-        raise ValueError(f"bad truth header: {header}")
     truth: dict[str, set[int]] = {}
-    for row in reader:
-        if not row:
-            continue
-        video_id, label = row
-        truth.setdefault(video_id, set()).add(int(label))
+    for number, (video_id, label) in _data_rows(lines, "truth", ["video_id", "label"]):
+        truth.setdefault(video_id, set()).add(_field(int, label, f"truth row {number}", "label"))
     return truth
 
 

@@ -1,6 +1,10 @@
 """CLI behavior: banners, config merging, subcommand outputs, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(*argv, timeout=120):
+    """``python -m framepool *argv`` in a child process that must end within
+    ``timeout`` seconds."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    return subprocess.run([sys.executable, "-m", "framepool", *argv],
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def gen_dataset(tmp_path, capsys, name="data.vfr", videos=40, seed=0, **extra):
@@ -39,6 +53,17 @@ def test_gen_zero_videos_fails_cleanly(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+def test_gen_with_fewer_weighted_labels_than_drawn_fails_without_hanging(tmp_path):
+    # an infinite exponent leaves label 0 the only one with weight, so no video can
+    # draw 2 distinct labels; the draw must fail, not retry forever
+    proc = run_process("gen", "--videos", "5", "--vocab", "10", "--labels-max", "2",
+                       "--imbalance-exponent", "inf", "--out", str(tmp_path / "x.vfr"),
+                       timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["error: Fewer non-zero entries in p than size"]
+    assert not (tmp_path / "x.vfr").exists()
 
 
 def test_gen_missing_out_flag(tmp_path, capsys):
@@ -448,6 +473,26 @@ def test_eval_predictions_field_past_csv_limit_single_error_line(tmp_path, capsy
         "error: malformed predictions CSV: field larger than field limit (131072)"]
 
 
+@pytest.mark.parametrize("kind, row, message", [
+    ("predictions", "A,0", "predictions row 2: expected 3 fields, got 2"),
+    ("predictions", "A,x,0.5", "predictions row 2: label 'x' is not an integer"),
+    ("predictions", "A,0,high", "predictions row 2: confidence 'high' is not a number"),
+    ("truth", "A,0,1", "truth row 2: expected 2 fields, got 3"),
+    ("truth", "A,x", "truth row 2: label 'x' is not an integer"),
+])
+def test_eval_malformed_csv_row_names_the_file_kind_and_row(tmp_path, capsys, kind, row,
+                                                           message):
+    files = {"predictions": "video_id,label,confidence\nA,0,0.5\n",
+             "truth": "video_id,label\nA,0\n"}
+    files[kind] = files[kind].split("\n")[0] + f"\n{row}\n"
+    for name, text in files.items():
+        (tmp_path / f"{name}.csv").write_text(text)
+    code, _, err = run(capsys, "eval", "--predictions", str(tmp_path / "predictions.csv"),
+                       "--truth", str(tmp_path / "truth.csv"))
+    assert code == 1
+    assert err.splitlines() == [f"error: {message}"]
+
+
 def test_eval_checkpoint_with_tied_probabilities_ranks_by_label_id(tmp_path, capsys):
     from framepool.trainer import checkpoint_bytes, load_checkpoint
 
@@ -551,20 +596,10 @@ def test_train_phase2_data_of_another_vocab_single_error_line(tmp_path, capsys):
 
 def test_train_non_finite_loss_prints_only_its_error_line(tmp_path, capsys):
     # run as a process, so that numpy's floating-point warnings would reach stderr
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
     data = gen_dataset(tmp_path, capsys)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "framepool", "train", "--data", str(data), "--val", str(data),
-         "--pooling", "netfv", "--initial-lr", "1e300", "--epochs", "1", "--eval-every", "5",
-         "--clusters", "2", "--hidden", "4", "--batch-size", "8"],
-        capture_output=True, text=True, env=env, timeout=120)
+    proc = run_process("train", "--data", str(data), "--val", str(data), "--pooling", "netfv",
+                       "--initial-lr", "1e300", "--epochs", "1", "--eval-every", "5",
+                       "--clusters", "2", "--hidden", "4", "--batch-size", "8")
     assert proc.returncode == 1
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: non-finite loss at step ")

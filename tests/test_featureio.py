@@ -14,9 +14,13 @@ from framepool.featureio import (
     DatasetHeader,
     SyntheticSpec,
     VideoRecord,
+    _chunk_records,
+    _draw_labels,
+    _draw_prototypes,
     atomic_write,
     generate_synthetic,
     label_prototypes,
+    label_weights,
     read_dataset,
     save_dataset,
     write_dataset,
@@ -239,6 +243,98 @@ def test_synthetic_determinism():
         assert x.id == y.id
         assert x.frames.tobytes() == y.frames.tobytes()
         assert np.array_equal(x.labels, y.labels)
+
+
+def reference_generate_synthetic(spec):
+    """The generator one video at a time, drawing labels with rng.choice: the
+    oracle for generate_synthetic's bisect draws and chunked frame blocks."""
+    spec.validate()
+    rng = np.random.default_rng(spec.seed)
+    protos = _draw_prototypes(rng, spec.vocab_size, spec.feature_dim)
+    weights = label_weights(spec.vocab_size, spec.imbalance_exponent)
+    records = []
+    for v in range(spec.num_videos):
+        k = int(rng.integers(spec.labels_min, spec.labels_max + 1))
+        labels = np.sort(rng.choice(spec.vocab_size, size=k, replace=False, p=weights))
+        t = int(rng.integers(spec.t_min, spec.t_max + 1))
+        base = protos[labels].mean(axis=0)
+        noise = rng.standard_normal((t, spec.feature_dim))
+        frames = (base[None, :] + spec.noise_scale * noise).astype(np.float32)
+        records.append(VideoRecord(id=f"v{v:06d}".encode(), frames=frames,
+                                   labels=labels.astype(np.int64)))
+    return records
+
+
+@st.composite
+def synthetic_specs(draw):
+    vocab = draw(st.integers(1, 12))
+    labels_max = draw(st.integers(1, vocab))
+    t_max = draw(st.integers(1, 5))
+    return SyntheticSpec(
+        num_videos=draw(st.sampled_from([1, 7, 255, 256, 257, 513])), vocab_size=vocab,
+        d_video=draw(st.integers(1, 4)), d_audio=draw(st.integers(0, 2)),
+        t_min=draw(st.integers(1, t_max)), t_max=t_max,
+        labels_min=draw(st.integers(1, labels_max)), labels_max=labels_max,
+        # steep exponents make most draws repeat a label
+        imbalance_exponent=draw(st.sampled_from([0.5, 1.5, 6.0, 40.0, 250.0])),
+        noise_scale=draw(st.sampled_from([0.0, 0.05, 3.0])), seed=draw(st.integers(0, 2**31)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(synthetic_specs())
+def test_synthetic_matches_the_per_video_reference(spec):
+    got, want = generate_synthetic(spec), reference_generate_synthetic(spec)
+    assert [r.id for r in got] == [r.id for r in want]
+    for a, b in zip(got, want):
+        assert a.frames.dtype == np.float32 and a.frames.shape == b.frames.shape
+        assert a.frames.tobytes() == b.frames.tobytes()
+        assert a.labels.dtype == np.int64 and a.labels.tolist() == b.labels.tolist()
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_chunk_base_sums_labels_in_the_order_a_videos_own_mean_does(width):
+    # Summed one label at a time, the six 2**-54 terms vanish into 1 + 2**-24 and
+    # the mean is a float32 tie that rounds down to 1/8; summed pairwise (as a (8, 1)
+    # mean does) they add up to 2**-52 and it rounds up.  The frames must follow
+    # the reduction order of protos[labels].mean(axis=0) at either width.
+    protos = np.zeros((8, width))
+    protos[:, 0] = [1.0, 2.0**-24] + [2.0**-54] * 6
+    labels = list(range(8))
+    (record,) = _chunk_records(protos, 0, [labels], [np.zeros((1, width))], 0.0)
+    want = protos[labels].mean(axis=0).astype(np.float32)
+    assert record.frames.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31), st.integers(1, 30), st.sampled_from([0.5, 1.5, 6.0, 40.0]),
+       st.data())
+def test_draw_labels_equals_choice_and_leaves_the_same_state(seed, vocab, exponent, data):
+    weights = label_weights(vocab, exponent)
+    cdf = np.cumsum(weights)
+    cdf = (cdf / cdf[-1]).tolist()
+    ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+    ours.integers(0, 2), numpys.integers(0, 2)  # leave a buffered uint32 in the state
+    for _ in range(20):
+        k = data.draw(st.integers(1, vocab))
+        want = np.sort(numpys.choice(vocab, size=k, replace=False, p=weights)).tolist()
+        assert _draw_labels(ours, cdf, weights, k) == want
+        assert ours.bit_generator.state == numpys.bit_generator.state
+
+
+def test_draw_labels_sends_a_draw_equal_to_a_cdf_step_to_the_next_label():
+    # choice searches its CDF with side="right"; build weights whose CDF holds the
+    # exact value of a draw, once in the first pass and once in the renormalized retry
+    x = np.random.default_rng(4).random(3)
+    first_pass = np.array([x[0], 1.0 - x[0]])
+    retry = np.array([1.0 - 2.0**-30, x[2] * 2.0**-30, (1.0 - x[2]) * 2.0**-30])
+    assert x[:2].max() < retry[0]  # the first two draws both pick label 0
+    for weights, k, picked in [(first_pass, 1, [1]), (retry, 2, [0, 2])]:
+        cdf = np.cumsum(weights)
+        cdf = (cdf / cdf[-1]).tolist()
+        want = np.sort(np.random.default_rng(4).choice(len(weights), size=k, replace=False,
+                                                       p=weights)).tolist()
+        assert want == picked
+        assert _draw_labels(np.random.default_rng(4), cdf, weights, k) == want
 
 
 def test_synthetic_label_lists_valid():
