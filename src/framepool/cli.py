@@ -38,7 +38,9 @@ from .metrics import (
     read_truth_csv,
     write_predictions_csv,
 )
-from .netmodel import ModelConfig, init_model, model_forward, set_output_prior
+# model_forward is unused here: perfbench/tracing.py's TARGETS names cli.model_forward, and
+# tests/test_bench_bindings.py needs each binding to resolve (until ROADMAP item 15)
+from .netmodel import ModelConfig, init_model, model_forward, set_output_prior  # noqa: F401
 from .rebalance import build_hard_subset, build_tail_subset, label_frequency_stats, stats_csv
 from .schedule import PRESETS, ScheduleParams
 from .schedule import curve_csv as lr_curve_csv
@@ -46,12 +48,11 @@ from .trainer import (
     PhasePlan,
     TrainConfig,
     curve_csv,
-    dedupe_by_id,
-    label_targets,
     load_checkpoint,
     make_checkpoint,
     restore_checkpoint,
     save_checkpoint,
+    score_chunks,
     train,
     train_phases,
 )
@@ -254,16 +255,9 @@ def _model_predictions(cfg: dict) -> tuple[Ranked, Truth]:
     model, _, _, _ = restore_checkpoint(load_checkpoint(cfg["checkpoint"]))
     header, records = load_dataset(cfg["data"])
     _check_same_shape("checkpoint/data", model.config, header)
-    records = dedupe_by_id(records)
-    ids = [_decoded_id(r.id) for r in records]
-
-    def chunks():  # ranked as they come, so no (videos, vocab) matrix is kept
-        for start in range(0, len(records), 128):
-            chunk = records[start:start + 128]
-            probs, _ = model_forward([r.frames for r in chunk], model)
-            yield ids[start:start + 128], probs, label_targets(chunk, model.config.vocab_size)
-
-    return rank_probs(chunks(), cfg["top_n"])
+    # ranked as the chunks come, so no (videos, vocab) matrix is kept
+    ranked, truth = rank_probs(score_chunks(records, model), cfg["top_n"])
+    return dataclasses.replace(ranked, ids=[_decoded_id(i) for i in ranked.ids]), truth
 
 
 def cmd_eval(cfg: dict) -> int:
@@ -280,9 +274,9 @@ def cmd_eval(cfg: dict) -> int:
                              "pass it with --checkpoint and --data")
         for key in ("predictions", "truth"):
             _require(cfg, key)
-        with open(cfg["predictions"]) as fh:
+        with open(cfg["predictions"], newline="") as fh:
             predictions = read_predictions_csv(fh)
-        with open(cfg["truth"]) as fh:
+        with open(cfg["truth"], newline="") as fh:
             truth = read_truth_csv(fh)
         predictions, truth = rank_pairs(predictions, truth)
     else:

@@ -18,8 +18,8 @@ duplicate label.  Both reject a non-finite confidence, naming the video.  gap,
 gap_bruteforce and miss_analysis keep each video's first n entries and take
 pairs too, ranking them through rank_pairs.  A Ranked iterates as (video_id,
 [(label, confidence), ...]).  write_predictions_csv writes a Ranked a column
-at a time: each id quoted once as csv quotes it, then each block of videos'
-rows formatted in one pass.
+at a time: each id quoted once as csv quotes it, and also where it holds a
+carriage return, then each block of videos' rows formatted in one pass.
 
 Ties are broken deterministically everywhere: within a video by ascending
 label id, so a tie across the n-th place keeps the lower label id; in the
@@ -309,20 +309,23 @@ class _Echo:
         return text
 
 
-_quote_row = csv.writer(_Echo(), lineterminator="\n").writerow
+# ids are quoted by a writer whose rows end in "\r\n", so that an id holding a
+# bare "\r", where csv.reader would end the row, is quoted too
+_quote_row = csv.writer(_Echo(), lineterminator="\r\n").writerow
 _CSV_BLOCK = 128  # videos formatted per join, so only one block's rows are held twice
 
 
 def write_predictions_csv(ranked: Ranked) -> str:
     """video_id,label,confidence rows, each video's entries best first: the
-    bytes a csv.writer gives for (video_id, label, f"{conf:.10g}") rows."""
+    bytes a csv.writer gives for (video_id, label, f"{conf:.10g}") rows, with
+    an id holding a carriage return quoted as well."""
     out = io.StringIO()
     out.write("video_id,label,confidence\n")
     starts, counts = ranked.starts.tolist(), np.diff(ranked.starts).tolist()
     row = "{}{},{:.10g}\n".format
     for a in range(0, len(ranked.ids), _CSV_BLOCK):
         b = min(a + _CSV_BLOCK, len(ranked.ids))
-        prefixes = [_quote_row((video_id, ""))[:-1] for video_id in ranked.ids[a:b]]
+        prefixes = [_quote_row((video_id, ""))[:-2] for video_id in ranked.ids[a:b]]
         lo, hi = starts[a], starts[b]
         out.write("".join(map(row, chain.from_iterable(map(repeat, prefixes, counts[a:b])),
                               ranked.labels[lo:hi].tolist(), ranked.confs[lo:hi].tolist())))

@@ -51,6 +51,8 @@ def emit_curve(params: ScheduleParams, epoch_max: float, step: float) -> list[tu
     """Sample lr_at on the uniform grid 0, step, 2*step, ... up to epoch_max."""
     if not step > 0:
         raise ValueError(f"step must be > 0, got {step}")
+    if not 0 <= epoch_max < math.inf:
+        raise ValueError(f"epoch_max must be finite and >= 0, got {epoch_max}")
     # +1e-9 absorbs float division error so an exact multiple keeps its endpoint.
     n = math.floor(epoch_max / step + 1e-9)
     return [(i * step, lr_at(i * step, params)) for i in range(n + 1)]

@@ -23,7 +23,7 @@ import math
 import struct
 import zlib
 from dataclasses import asdict, dataclass, field, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .schedule import ScheduleParams, SLOW_ANNEAL, lr_at
 CHECKPOINT_MAGIC = b"VPCK"
 CHECKPOINT_VERSION = 1
 OPTIMIZER_KINDS = ("adam", "sgd")
+EVAL_CHUNK = 128  # videos per scoring forward; the batch moves probabilities by an ulp
 
 # curve rows are (epoch, split, gap, loss, lr) with split in {train, val}
 CurveRow = tuple[float, str, float, float, float]
@@ -61,10 +62,10 @@ class TrainConfig:
     def validate(self) -> None:
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.epoch_budget > 0:
-            raise ValueError(f"epoch_budget must be > 0, got {self.epoch_budget}")
-        if not self.eval_every > 0:
-            raise ValueError(f"eval_every must be > 0, got {self.eval_every}")
+        if not 0 < self.epoch_budget < math.inf:
+            raise ValueError(f"epoch_budget must be finite and > 0, got {self.epoch_budget}")
+        if not 0 < self.eval_every < math.inf:
+            raise ValueError(f"eval_every must be finite and > 0, got {self.eval_every}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.optimizer not in OPTIMIZER_KINDS:
@@ -85,8 +86,8 @@ class PhasePlan:
         for i, (records, budget) in enumerate(self.phases):
             if len(records) == 0:
                 raise ValueError(f"phase {i}: empty dataset")
-            if not budget > 0:
-                raise ValueError(f"phase {i}: epoch budget must be > 0, got {budget}")
+            if not 0 < budget < math.inf:
+                raise ValueError(f"phase {i}: epoch budget must be finite and > 0, got {budget}")
 
 
 @dataclass
@@ -150,22 +151,28 @@ def check_records(records: Sequence[VideoRecord], model: Model) -> None:
                              f"[0, {vocab})")
 
 
-def evaluate(records: Sequence[VideoRecord], model: Model, loss_params: HuberParams,
-             batch_size: int = 128, top_n: int = 20) -> tuple[float, float]:
-    """(GAP, mean loss) over the unique videos of a record list."""
+def score_chunks(records: Sequence[VideoRecord], model: Model
+                 ) -> Iterator[tuple[list[bytes], np.ndarray, np.ndarray]]:
+    """The one scoring forward pass: the records checked against the model,
+    then (ids, probs, targets) for each EVAL_CHUNK of their unique videos."""
     check_records(records, model)
     records = dedupe_by_id(records)
     if not records:
         raise ValueError("nothing to evaluate")
-    all_probs = []
-    for start in range(0, len(records), batch_size):
-        chunk = records[start:start + batch_size]
+    for start in range(0, len(records), EVAL_CHUNK):
+        chunk = records[start:start + EVAL_CHUNK]
         probs, _ = model_forward([r.frames for r in chunk], model)
-        all_probs.append(probs)
-    probs = np.vstack(all_probs)
-    targets = label_targets(records, model.config.vocab_size)
+        yield [r.id for r in chunk], probs, label_targets(chunk, model.config.vocab_size)
+
+
+def evaluate(records: Sequence[VideoRecord], model: Model, loss_params: HuberParams,
+             top_n: int = 20) -> tuple[float, float]:
+    """(GAP, mean loss) over the unique videos of a record list."""
+    ids, probs, targets = zip(*score_chunks(records, model))
+    probs = np.vstack(probs)  # one at a time, so each chunk list is freed as it is stacked
+    targets = np.vstack(targets)
     loss, _ = multilabel_loss(probs, targets, loss_params)
-    ranked, truth = rank_probs([([r.id for r in records], probs, targets)], top_n)
+    ranked, truth = rank_probs([([i for chunk in ids for i in chunk], probs, targets)], top_n)
     return gap(ranked, truth, GapConfig(n=top_n)), loss
 
 
@@ -200,10 +207,8 @@ def train(records: Sequence[VideoRecord], val_records: Sequence[VideoRecord],
         nonlocal last_eval_step
         f = fraction(step)
         lr = lr_at(f, config.schedule)
-        train_gap, train_loss = evaluate(records, model, config.loss,
-                                         batch_size=max(b, 128), top_n=config.gap_top_n)
-        val_gap, val_loss = evaluate(val_records, model, config.loss,
-                                     batch_size=max(b, 128), top_n=config.gap_top_n)
+        train_gap, train_loss = evaluate(records, model, config.loss, top_n=config.gap_top_n)
+        val_gap, val_loss = evaluate(val_records, model, config.loss, top_n=config.gap_top_n)
         curve.append((epoch_offset + f, "train", train_gap, train_loss, lr))
         curve.append((epoch_offset + f, "val", val_gap, val_loss, lr))
         last_eval_step = step

@@ -232,6 +232,16 @@ def test_lr_curve_preset_and_file_output(tmp_path, capsys):
     assert lines[3].startswith("1.000000,0.00095")
 
 
+@pytest.mark.parametrize("epochs", ["inf", "nan", "-1"])
+def test_lr_curve_non_finite_or_negative_epochs_single_error_line(tmp_path, capsys, epochs):
+    # inf ended in an OverflowError traceback, and -1 printed only the header
+    out_path = tmp_path / "lr.csv"
+    code, out, err = run(capsys, "lr-curve", "--epochs", epochs, "--out", str(out_path))
+    assert code == 1
+    assert err.splitlines() == [f"error: epoch_max must be finite and >= 0, got {float(epochs)}"]
+    assert not out_path.exists()
+
+
 def test_eval_fixture_prints_expected_gap(tmp_path, capsys):
     predictions = tmp_path / "preds.csv"
     predictions.write_text(
@@ -309,6 +319,82 @@ def test_eval_checkpoint_names_a_video_whose_id_is_not_utf8(tmp_path, capsys):
     assert err.splitlines() == ["error: video b'\\xff\\xfe': id is not UTF-8"]
     assert "GAP" not in out
     assert not preds.exists()
+
+
+def train_checkpoint(tmp_path, capsys, data):
+    ckpt = tmp_path / "model.vpck"
+    code, _, err = run(capsys, "train", "--data", str(data), "--val", str(data),
+                       "--clusters", "2", "--hidden", "3", "--batch-size", "8",
+                       "--epochs", "0.5", "--out-checkpoint", str(ckpt))
+    assert code == 0, err
+    return ckpt
+
+
+def test_eval_checkpoint_prints_the_gap_trainer_evaluate_gives(tmp_path, capsys):
+    # more than one 128-video chunk, and a repeated id (carrying another
+    # video's frames) that both score once
+    import dataclasses
+
+    from framepool.featureio import save_dataset
+    from framepool.losses import HuberParams
+    from framepool.trainer import evaluate, load_checkpoint, restore_checkpoint
+
+    data = gen_dataset(tmp_path, capsys, videos=140)
+    ckpt = train_checkpoint(tmp_path, capsys, data)
+    header, records = load_dataset(str(data))
+    records.insert(3, dataclasses.replace(records[130], id=records[0].id))
+    repeated = tmp_path / "repeated.vfr"
+    save_dataset(str(repeated), records, dataclasses.replace(header, record_count=141))
+    code, out, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(repeated))
+    assert code == 0, err
+    model = restore_checkpoint(load_checkpoint(str(ckpt)))[0]
+    assert out.splitlines()[1] == f"GAP {evaluate(records, model, HuberParams())[0]:.7f}"
+    assert "videos evaluated:        140" in out
+
+
+def test_eval_checkpoint_on_empty_data_single_error_line(tmp_path, capsys):
+    import dataclasses
+
+    from framepool.featureio import save_dataset
+
+    data = gen_dataset(tmp_path, capsys, videos=12)
+    ckpt = train_checkpoint(tmp_path, capsys, data)
+    header, _ = load_dataset(str(data))
+    empty = tmp_path / "empty.vfr"
+    save_dataset(str(empty), [], dataclasses.replace(header, record_count=0))
+    code, out, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(empty))
+    assert code == 1
+    assert err.splitlines() == ["error: nothing to evaluate"]
+    assert "GAP" not in out
+
+
+def test_eval_predictions_csv_round_trips_ids_with_carriage_returns(tmp_path, capsys):
+    # a bare \r was written unquoted, and the CSVs were read with newline
+    # translation, which turned a quoted \r\n into \n
+    import csv
+    import dataclasses
+
+    from framepool.featureio import save_dataset
+
+    data = gen_dataset(tmp_path, capsys, videos=12)
+    ckpt = train_checkpoint(tmp_path, capsys, data)
+    header, records = load_dataset(str(data))
+    for i, video_id in enumerate([b"a\rb", b"c\nd", b"c\r\nd", b"\r"]):
+        records[i] = dataclasses.replace(records[i], id=video_id)
+    odd = tmp_path / "odd_ids.vfr"
+    save_dataset(str(odd), records, header)
+    preds = tmp_path / "preds.csv"
+    code, model_out, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(odd),
+                               "--out-predictions", str(preds))
+    assert code == 0, err
+    truth = tmp_path / "truth.csv"
+    with open(truth, "w", newline="") as fh:
+        csv.writer(fh).writerows([("video_id", "label")] + [
+            (r.id.decode(), label) for r in records for label in r.labels.tolist()])
+    code, file_out, err = run(capsys, "eval", "--predictions", str(preds), "--truth", str(truth))
+    assert code == 0, err
+    assert file_out.splitlines()[1:] == model_out.splitlines()[1:]
+    assert "videos evaluated:        12" in file_out
 
 
 def test_train_then_eval_checkpoint_roundtrip(tmp_path, capsys):

@@ -386,13 +386,16 @@ def test_csv_roundtrip():
 
 
 def reference_predictions_csv(ranked):
-    """The row-by-row csv.writer walk the block writer replaced."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["video_id", "label", "confidence"])
-    writer.writerows((video_id, label, f"{conf:.10g}")
-                     for video_id, items in ranked for label, conf in items)
-    return out.getvalue()
+    """The row-by-row csv.writer walk the block writer replaced, each row
+    quoted as by a writer whose rows end in CR LF (so an id holding a bare CR
+    is quoted too), then ended in LF."""
+    rows = ["video_id,label,confidence\n"]
+    for video_id, items in ranked:
+        for label, conf in items:
+            row = io.StringIO()
+            csv.writer(row, lineterminator="\r\n").writerow((video_id, label, f"{conf:.10g}"))
+            rows.append(row.getvalue()[:-2] + "\n")
+    return "".join(rows)
 
 
 # 0, the smallest subnormal, a larger subnormal, the smallest normal, and
@@ -416,13 +419,24 @@ def test_block_writer_equals_row_walk(id_pool, n_videos, seed):
 
 
 def test_block_writer_quotes_ids_as_csv_does():
-    ranked = Ranked([' a,"b"', "x\ny", "\u00e9"], np.array([3, 1, 2]),
-                    np.array([0.5, 5e-324, 1.0]), np.array([0, 1, 2, 3]))
+    ranked = Ranked([' a,"b"', "x\ny", "c\rd", "\u00e9"], np.array([3, 1, 4, 2]),
+                    np.array([0.5, 5e-324, 0.25, 1.0]), np.array([0, 1, 2, 3, 4]))
     text = write_predictions_csv(ranked)
     assert text == ('video_id,label,confidence\n" a,""b""",3,0.5\n'
-                    '"x\ny",1,4.940656458e-324\n\u00e9,2,1\n')
+                    '"x\ny",1,4.940656458e-324\n"c\rd",4,0.25\n\u00e9,2,1\n')
     assert read_predictions_csv(io.StringIO(text, newline="")) == [
-        (' a,"b"', [(3, 0.5)]), ("x\ny", [(1, 5e-324)]), ("\u00e9", [(2, 1.0)])]
+        (' a,"b"', [(3, 0.5)]), ("x\ny", [(1, 5e-324)]), ("c\rd", [(4, 0.25)]),
+        ("\u00e9", [(2, 1.0)])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.text(alphabet=',"\r\n a'), st.text()),
+                min_size=1, max_size=12, unique=True))
+def test_predictions_csv_ids_survive_write_then_read(ids):
+    ranked = Ranked(ids, np.arange(len(ids)), np.full(len(ids), 0.5), np.arange(len(ids) + 1))
+    text = write_predictions_csv(ranked)
+    assert read_predictions_csv(io.StringIO(text, newline="")) == [
+        (video_id, [(label, 0.5)]) for label, video_id in enumerate(ids)]
 
 
 def test_csv_bad_headers_rejected():

@@ -255,6 +255,9 @@ def test_plan_validation():
         PhasePlan(phases=[(records, 0.0)]).validate()
     with pytest.raises(ValueError, match="empty"):
         PhasePlan(phases=[([], 1.0)]).validate()
+    # train --phase2-epochs inf: rejected before the first phase trains
+    with pytest.raises(ValueError, match="phase 1: epoch budget must be finite"):
+        PhasePlan(phases=[(records, 1.0), (records, math.inf)]).validate()
 
 
 def test_config_validation():
@@ -266,6 +269,12 @@ def test_config_validation():
         TrainConfig(batch_size=1, eval_every=-1.0).validate()
     with pytest.raises(ValueError, match="optimizer"):
         TrainConfig(batch_size=1, optimizer="adamw").validate()
+    # train --epochs inf used to loop until it was killed
+    for value in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="epoch_budget must be finite"):
+            TrainConfig(batch_size=1, epoch_budget=value).validate()
+        with pytest.raises(ValueError, match="eval_every must be finite"):
+            TrainConfig(batch_size=1, eval_every=value).validate()
 
 
 def test_checkpoint_roundtrip_bytes():
