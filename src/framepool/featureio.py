@@ -14,17 +14,20 @@ then, per record:
 Each frame row stores the video features followed by the audio features for
 one sampled second.  Features are float32 on disk; NaN/Inf anywhere is a hard
 format error on both write and read, because a single non-finite value
-silently poisons every downstream gradient check.  A file is read whole into
-one buffer, through the bounds-checked ByteReader that VPCK checkpoints share,
-and each record's frames are a read-only view of that buffer.
+silently poisons every downstream gradient check.
 
-Reads and writes check records CHUNK_RECORDS at a time, each rule in one
-vectorized pass: finiteness over the chunk's frames as float32 (so a float64
-value past the float32 range is refused, not written as inf), label order as
-one segmented diff, the label range from each record's first and last label,
-and the id, T, width and label-count rules from plain integers.  The lowest
-failing record is reported with the message ``validate_record`` gives it.  A
-write emits each chunk in one call, from the very blocks the check built.
+A read takes the file into one buffer, finds each record's byte offset in one
+walk (a ``struct.unpack_from`` per id length, frame count and label count) and
+then checks the whole file once, each rule in one vectorized pass: the frames
+as one float32 view of the buffer per byte alignment, label order and range
+over one flat int64 label array.  It returns a ``Corpus`` of those columns,
+whose records (frames are read-only views of the buffer) are built on first
+item access; a corpus selection written in its own layout copies each
+record's checked byte range.  Other records are written CHUNK_RECORDS at a
+time, each chunk checked the same way (finiteness as float32, so a float64
+value past the float32 range is refused, not written as inf) and written from
+the very blocks the check built.  Either check reports the lowest failing
+record with the message ``validate_record`` gives it.
 
 The synthetic generator stands in for a real large-scale corpus: each label
 owns a unit-norm prototype direction, a video's frames are the average of its
@@ -41,12 +44,14 @@ from __future__ import annotations
 
 import bisect
 import contextlib
+import copy
+import dataclasses
 import math
 import os
 import struct
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import BinaryIO, Callable, Sequence
+from typing import BinaryIO, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -57,6 +62,8 @@ HEADER_SIZE = _HEADER.size  # 28 bytes
 MAX_ID_BYTES = 0xFFFF
 MAX_LABELS_PER_RECORD = 0xFFFF
 CHUNK_RECORDS = 256  # records checked, written or generated per vectorized pass
+_F4 = np.dtype("<f4")
+_SCAN_FLOATS = 1 << 20  # float32 values a read checks for finiteness per pass
 
 
 class DatasetFormatError(ValueError):
@@ -154,25 +161,36 @@ def _check_chunk(ids: list, frames: list, labels: list, header: DatasetHeader,
     sizes = np.array([label_ids.size for label_ids in labels[:bad]], dtype=np.int64)
     ends = np.cumsum(sizes)
     flat = np.concatenate(labels[:bad] or [np.empty(0)], dtype=np.int64, casting="unsafe")
-    rising = flat[1:] > flat[:-1]
-    rising[ends[:-1] - 1] = True  # no order is asked across a record boundary
-    if not rising.all():
-        bad = min(bad, int(np.searchsorted(ends, np.argmin(rising) + 1, "right")))
-    outside = (flat[ends - sizes] < 0) | (flat[ends - 1] >= header.vocab_size)
-    if outside.any():
-        bad = min(bad, int(np.argmax(outside)))
+    bad = min(bad, _first_bad_labels(flat, ends, sizes, header.vocab_size))
     if bad < len(ids):
         validate_record(VideoRecord(ids[bad], frames[bad], labels[bad]), header, start + bad)
         raise AssertionError(f"record {start + bad} failed the chunk check only")
     return block, flat, ends
 
 
+def _first_bad_labels(flat: np.ndarray, ends: np.ndarray, sizes: np.ndarray,
+                      vocab_size: int) -> int:
+    """The lowest record whose labels ``flat[ends - sizes:ends]`` (one or more) are
+    not strictly ascending or leave [0, vocab_size), or len(ends)."""
+    bad = len(ends)
+    rising = flat[1:] > flat[:-1]
+    rising[ends[:-1] - 1] = True  # no order is asked across a record boundary
+    if not rising.all():
+        bad = int(np.searchsorted(ends, np.argmin(rising) + 1, "right"))
+    outside = (flat[ends - sizes] < 0) | (flat[ends - 1] >= vocab_size)
+    if outside.any():
+        bad = min(bad, int(np.argmax(outside)))
+    return bad
+
+
 def write_dataset(records: Sequence[VideoRecord], header: DatasetHeader, sink: BinaryIO) -> int:
     """Write a dataset to ``sink``; returns the number of bytes written.
 
-    ``header.record_count`` must equal ``len(records)``.  Each chunk of records
-    is checked, and written in one call, from the float32 frame and ``<u4``
-    label blocks that the check built, so what is checked is what is written.
+    ``header.record_count`` must equal ``len(records)``.  A ``Corpus`` read
+    from a file of the header's layout is written as its records' byte ranges,
+    which its read checked.  Other records are checked a chunk at a time and
+    written from the float32 frame and ``<u4`` label blocks that the check
+    built.  Each chunk is one ``sink.write``.
     """
     header.validate()
     if header.record_count != len(records):
@@ -183,6 +201,14 @@ def write_dataset(records: Sequence[VideoRecord], header: DatasetHeader, sink: B
         _HEADER.pack(MAGIC, FORMAT_VERSION, header.d_video, header.d_audio,
                      header.vocab_size, header.record_count)
     )
+    if (isinstance(records, Corpus)
+            and dataclasses.replace(records.header, record_count=len(records)) == header):
+        buf, offsets = memoryview(records.buf), records.offsets
+        for start in range(0, len(records), CHUNK_RECORDS):
+            index = records.index[start:start + CHUNK_RECORDS]
+            written += sink.write(b"".join([buf[a:b] for a, b in zip(
+                offsets[index].tolist(), offsets[index + 1].tolist())]))
+        return written
     row_bytes = 4 * header.feature_dim
     for start in range(0, len(records), CHUNK_RECORDS):
         chunk = records[start:start + CHUNK_RECORDS]
@@ -231,51 +257,141 @@ class ByteReader:
         return np.ndarray(shape, dtype, self.buf, self._advance(size * dtype.itemsize, what))
 
 
-def read_dataset(source: BinaryIO) -> tuple[DatasetHeader, list[VideoRecord]]:
+class Corpus(Sequence[VideoRecord]):
+    """The records of one VFR file as columns over its buffer: record i is
+    ``buf[offsets[i]:offsets[i + 1]]``, with ``frame_counts[i]`` frames from
+    ``frames_at[i]`` and its labels ending at ``label_ends[i]`` in the flat
+    int64 ``labels``.  A corpus is the selection ``index`` of those records.
+    Items are VideoRecords whose frames are read-only views of the buffer,
+    built for the whole file on first item access and shared by selections."""
+
+    def __init__(self, header: DatasetHeader, buf: bytes, offsets: np.ndarray,
+                 frame_counts: np.ndarray, label_counts: np.ndarray):
+        self.header, self.buf, self.offsets = header, buf, offsets
+        self.frame_counts, self.label_ends = frame_counts, np.cumsum(label_counts)
+        labels_at = offsets[1:] - 4 * label_counts
+        self.frames_at = labels_at - 2 - 4 * header.feature_dim * frame_counts
+        at = np.repeat(labels_at - 4 * (self.label_ends - label_counts), label_counts)
+        at += 4 * np.arange(len(at))  # each label's byte offset
+        u4 = np.frombuffer(buf, np.uint8)[at[:, None] + np.arange(4)].view("<u4")
+        self.labels = u4.ravel().astype(np.int64)
+        self.labels.flags.writeable = False  # like the frames, so a corpus stays as read
+        self.index, self._records = np.arange(len(frame_counts)), []
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, key):
+        """The record at an integer ``key``; the selection at a slice or an index array."""
+        if isinstance(key, (int, np.integer)):
+            return self._built()[self.index[key]]
+        out = copy.copy(self)
+        out.index = self.index[key]
+        return out
+
+    def __iter__(self) -> Iterator[VideoRecord]:
+        return map(self._built().__getitem__, self.index.tolist())
+
+    def label_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The selected records' labels in one flat int64 array, and each one's count."""
+        sizes = np.diff(self.label_ends, prepend=0)[self.index]
+        at = np.repeat(self.label_ends[self.index] - np.cumsum(sizes), sizes)
+        return self.labels[at + np.arange(len(at))], sizes
+
+    def _built(self) -> list[VideoRecord]:
+        if not self._records:
+            buf, labels, width = self.buf, self.labels, self.header.feature_dim
+            bounds = [0, *self.label_ends.tolist()]
+            self._records += [
+                VideoRecord(buf[offset + 2:at - 4], np.ndarray((t, width), _F4, buf, at),
+                            labels[a:b])
+                for offset, at, t, a, b in zip(
+                    self.offsets[:-1].tolist(), self.frames_at.tolist(),
+                    self.frame_counts.tolist(), bounds, bounds[1:])]
+        return self._records
+
+
+def _first_bad_record(corpus: Corpus) -> int:
+    """The lowest record of a whole-file corpus that breaks a rule, or its
+    length.  Each rule runs once over the file; the frames are checked as one
+    float32 view of the buffer per byte alignment, where a non-finite value
+    counts only inside a payload of that alignment."""
+    frames_at, sizes = corpus.frames_at, np.diff(corpus.label_ends, prepend=0)
+    frames_end = frames_at + 4 * corpus.header.feature_dim * corpus.frame_counts
+    empty = (frames_at - 6 == corpus.offsets[:-1]) | (sizes == 0)  # id or labels
+    bad = int(np.argmax(empty)) if empty.any() else len(sizes)
+    for align in range(4) if bad else ():
+        floats = np.frombuffer(corpus.buf, _F4, (len(corpus.buf) - align) // 4, align)
+        for first in range(0, len(floats), _SCAN_FLOATS):
+            finite = np.isfinite(floats[first:first + _SCAN_FLOATS])
+            if not finite.all():
+                at = align + 4 * (first + np.flatnonzero(~finite))
+                owner = np.searchsorted(frames_at, at, "right") - 1
+                inside = ((owner >= 0) & (at < frames_end[owner])
+                          & (frames_at[owner] % 4 == align))
+                bad = min(bad, int(owner[inside].min(initial=bad)))
+    ends = corpus.label_ends[:bad]  # the label rules need at least one label a record
+    return min(bad, _first_bad_labels(corpus.labels[:ends[-1:].sum()], ends, sizes[:bad],
+                                      corpus.header.vocab_size))
+
+
+_U16, _U32 = struct.Struct("<H").unpack_from, struct.Struct("<I").unpack_from
+
+
+def read_dataset(source: BinaryIO) -> tuple[DatasetHeader, Corpus]:
     """The header and records of ``source``, read to its end into one buffer.
-    Records are parsed one by one and checked a chunk at a time; a record that
-    breaks a rule is reported before a later one that is cut short, and
-    trailing bytes are an error."""
-    reader = ByteReader(source.read(), DatasetFormatError)
-    magic, version, *fields = reader.unpack(_HEADER.format, "header")
+    One walk finds each record's offset, frame count and label count, then one
+    pass checks every record.  A record that breaks a rule is reported before
+    a later one that is cut short, and trailing bytes are an error."""
+    buf = source.read()
+    if len(buf) < HEADER_SIZE:
+        raise DatasetFormatError("truncated file while reading header")
+    magic, version, *fields = _HEADER.unpack_from(buf)
     if magic != MAGIC:
         raise DatasetFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
     if version != FORMAT_VERSION:
         raise DatasetFormatError(f"unsupported format version {version}")
     header = DatasetHeader(*fields)  # d_video, d_audio, vocab_size, record_count
     header.validate()
-    records: list[VideoRecord] = []
-    ids, frames, labels = [], [], []  # the records parsed but not yet checked
-
-    def keep_checked() -> None:
-        _, flat, ends = _check_chunk(ids, frames, labels, header, len(records))
-        bounds = [0, *ends.tolist()]
-        int_labels = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
-        records.extend(map(VideoRecord, ids, frames, int_labels))
-        del ids[:], frames[:], labels[:]
-
+    size, row_bytes, at = len(buf), 4 * header.feature_dim, HEADER_SIZE
+    offsets, frame_counts, label_counts = [at], [], []  # grown as the walk goes
+    problem = None
     for index in range(header.record_count):
-        try:
-            (id_len,) = reader.unpack("<H", "id length")
-            video_id = reader.take(id_len, "id")
-            (t,) = reader.unpack("<I", "frame count")
-            if t < 1:
-                raise DatasetFormatError("frame count must be >= 1")
-            rows = reader.array("<f4", (t, header.feature_dim), "frame payload")
-            (n_labels,) = reader.unpack("<H", "label count")
-            label_ids = reader.array("<u4", n_labels, "labels")
-        except DatasetFormatError as exc:
-            keep_checked()
-            raise DatasetFormatError(f"record {index}: {exc}") from None
-        ids.append(video_id)
-        frames.append(rows)
-        labels.append(label_ids)
-        if len(ids) == CHUNK_RECORDS:
-            keep_checked()
-    keep_checked()
-    if reader.left():
-        raise DatasetFormatError(f"{reader.left()} bytes after the last record")
-    return header, records
+        if at + 2 > size:
+            problem = "truncated file while reading id length"
+            break
+        at += 2 + _U16(buf, at)[0]
+        if at + 4 > size:
+            problem = f"truncated file while reading {'id' if at > size else 'frame count'}"
+            break
+        (t,) = _U32(buf, at)
+        if t < 1:
+            problem = "frame count must be >= 1"
+            break
+        at += 4 + t * row_bytes
+        if at + 2 > size:
+            problem = ("truncated file while reading "
+                       + ("frame payload" if at > size else "label count"))
+            break
+        (n_labels,) = _U16(buf, at)
+        at += 2 + 4 * n_labels
+        if at > size:
+            problem = "truncated file while reading labels"
+            break
+        offsets.append(at)
+        frame_counts.append(t)
+        label_counts.append(n_labels)
+    corpus = Corpus(header, buf, *[np.array(column, np.int64)
+                                   for column in (offsets, frame_counts, label_counts)])
+    bad = _first_bad_record(corpus)
+    if bad < len(corpus):
+        validate_record(corpus[bad], header, bad)
+        raise AssertionError(f"record {bad} failed the whole-file check only")
+    if problem is not None:
+        raise DatasetFormatError(f"record {index}: {problem}")
+    if at < size:
+        raise DatasetFormatError(f"{size - at} bytes after the last record")
+    return header, corpus
 
 
 @contextlib.contextmanager
@@ -297,7 +413,7 @@ def save_dataset(path: str, records: Sequence[VideoRecord], header: DatasetHeade
         return write_dataset(records, header, sink)
 
 
-def load_dataset(path: str) -> tuple[DatasetHeader, list[VideoRecord]]:
+def load_dataset(path: str) -> tuple[DatasetHeader, Corpus]:
     with open(path, "rb") as source:
         return read_dataset(source)
 

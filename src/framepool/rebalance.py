@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .featureio import VideoRecord
+from .featureio import Corpus, VideoRecord
 
 
 @dataclass(frozen=True)
@@ -43,13 +43,27 @@ class LabelStats:
         return ranks
 
 
+def _label_columns(records: Sequence[VideoRecord]) -> tuple[np.ndarray, np.ndarray]:
+    """All labels of ``records`` in one flat array, and each record's label count."""
+    if isinstance(records, Corpus):
+        return records.label_columns()
+    sizes = np.array([record.labels.size for record in records], dtype=np.int64)
+    return np.concatenate([record.labels for record in records] or [np.empty(0, int)]), sizes
+
+
+def _select(records: Sequence[VideoRecord], index: np.ndarray) -> Sequence[VideoRecord]:
+    if isinstance(records, Corpus):
+        return records[index]
+    return [records[i] for i in index.tolist()]
+
+
 def label_frequency_stats(records: Sequence[VideoRecord], vocab_size: int) -> LabelStats:
     """Exact per-label counts and the cumulative coverage curve."""
     if len(records) == 0:
         raise ValueError("empty dataset")
     if vocab_size < 1:
         raise ValueError(f"vocab_size must be >= 1, got {vocab_size}")
-    labels = np.concatenate([record.labels for record in records])
+    labels, _ = _label_columns(records)
     if labels.min() < 0 or labels.max() >= vocab_size:
         raise ValueError(f"label id outside [0, {vocab_size})")
     counts = np.bincount(labels, minlength=vocab_size)
@@ -59,36 +73,36 @@ def label_frequency_stats(records: Sequence[VideoRecord], vocab_size: int) -> La
 
 
 def build_tail_subset(records: Sequence[VideoRecord], rank_threshold: int,
-                      vocab_size: int) -> list[VideoRecord]:
+                      vocab_size: int) -> Sequence[VideoRecord]:
     """Videos having at least one label of frequency rank > rank_threshold."""
     if not 0 <= rank_threshold < vocab_size:
         raise ValueError(
             f"rank_threshold must be in [0, {vocab_size}), got {rank_threshold}"
         )
     ranks = label_frequency_stats(records, vocab_size).ranks
-    sizes = np.array([record.labels.size for record in records])
+    labels, sizes = _label_columns(records)
     if not sizes.all():
         raise ValueError(f"record {np.argmin(sizes)} has no labels")
-    starts = np.cumsum(sizes) - sizes
-    labels = np.concatenate([record.labels for record in records])
-    worst = np.maximum.reduceat(ranks[labels], starts)  # each record's rarest label
-    return [records[i] for i in np.flatnonzero(worst > rank_threshold)]
+    worst = np.maximum.reduceat(ranks[labels], np.cumsum(sizes) - sizes)  # rarest label
+    return _select(records, np.flatnonzero(worst > rank_threshold))
+
+
+def _hard(label_count):
+    """Cardinality classes that dominate evaluation misses: 1 or >= 4 labels."""
+    return (label_count == 1) | (label_count >= 4)
 
 
 def is_hard(record: VideoRecord) -> bool:
-    """Cardinality classes that dominate evaluation misses: 1 or >= 4 labels."""
-    n = record.labels.size
-    return n == 1 or n >= 4
+    return _hard(record.labels.size)
 
 
-def build_hard_subset(records: Sequence[VideoRecord], multiplier: int = 3) -> list[VideoRecord]:
+def build_hard_subset(records: Sequence[VideoRecord],
+                      multiplier: int = 3) -> Sequence[VideoRecord]:
     """Hard videos appear multiplier times (adjacent), the rest once."""
     if multiplier < 1:
         raise ValueError(f"multiplier must be >= 1, got {multiplier}")
-    out: list[VideoRecord] = []
-    for record in records:
-        out.extend([record] * (multiplier if is_hard(record) else 1))
-    return out
+    counts = np.where(_hard(_label_columns(records)[1]), multiplier, 1)
+    return _select(records, np.repeat(np.arange(len(records)), counts))
 
 
 def stats_csv(stats: LabelStats) -> str:

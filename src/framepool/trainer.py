@@ -176,6 +176,14 @@ def evaluate(records: Sequence[VideoRecord], model: Model, loss_params: HuberPar
     return gap(ranked, truth, GapConfig(n=top_n)), loss
 
 
+def _next_eval_point(f: float, eval_every: float) -> float:
+    """The first multiple of ``eval_every`` above epoch fraction ``f``, or the
+    next float above ``f`` when that multiple does not lie above it."""
+    multiples = f / eval_every
+    point = eval_every * (math.floor(multiples) + 1) if multiples < 2**53 else f
+    return point if point > f else math.nextafter(f, math.inf)
+
+
 def train(records: Sequence[VideoRecord], val_records: Sequence[VideoRecord],
           model: Model, config: TrainConfig, *, opt_state: AdamState | None = None,
           start_step: int = 0, epoch_offset: float = 0.0) -> TrainResult:
@@ -200,7 +208,7 @@ def train(records: Sequence[VideoRecord], val_records: Sequence[VideoRecord],
 
     step = start_step
     curve: list[CurveRow] = []
-    next_eval = config.eval_every * (math.floor(fraction(step) / config.eval_every) + 1)
+    next_eval = _next_eval_point(fraction(step), config.eval_every)
     last_eval_step = step
 
     def emit_eval() -> None:
@@ -238,8 +246,7 @@ def train(records: Sequence[VideoRecord], val_records: Sequence[VideoRecord],
             f = fraction(step)
             if f >= next_eval:
                 emit_eval()
-                while next_eval <= f:
-                    next_eval += config.eval_every
+                next_eval = _next_eval_point(f, config.eval_every)
 
     if step > last_eval_step or not curve:
         emit_eval()

@@ -308,7 +308,8 @@ def test_eval_checkpoint_names_a_video_whose_id_is_not_utf8(tmp_path, capsys):
                        "--clusters", "2", "--hidden", "3", "--batch-size", "8",
                        "--epochs", "0.5", "--out-checkpoint", str(ckpt))
     assert code == 0, err
-    header, records = load_dataset(str(data))
+    header, corpus = load_dataset(str(data))
+    records = list(corpus)  # a loaded corpus is read-only
     records[0] = dataclasses.replace(records[0], id=b"\xff\xfe")
     bad = tmp_path / "bad_id.vfr"
     save_dataset(str(bad), records, header)
@@ -341,7 +342,8 @@ def test_eval_checkpoint_prints_the_gap_trainer_evaluate_gives(tmp_path, capsys)
 
     data = gen_dataset(tmp_path, capsys, videos=140)
     ckpt = train_checkpoint(tmp_path, capsys, data)
-    header, records = load_dataset(str(data))
+    header, corpus = load_dataset(str(data))
+    records = list(corpus)  # a loaded corpus is read-only
     records.insert(3, dataclasses.replace(records[130], id=records[0].id))
     repeated = tmp_path / "repeated.vfr"
     save_dataset(str(repeated), records, dataclasses.replace(header, record_count=141))
@@ -378,7 +380,8 @@ def test_eval_predictions_csv_round_trips_ids_with_carriage_returns(tmp_path, ca
 
     data = gen_dataset(tmp_path, capsys, videos=12)
     ckpt = train_checkpoint(tmp_path, capsys, data)
-    header, records = load_dataset(str(data))
+    header, corpus = load_dataset(str(data))
+    records = list(corpus)  # a loaded corpus is read-only
     for i, video_id in enumerate([b"a\rb", b"c\nd", b"c\r\nd", b"\r"]):
         records[i] = dataclasses.replace(records[i], id=video_id)
     odd = tmp_path / "odd_ids.vfr"
@@ -689,3 +692,72 @@ def test_train_non_finite_loss_prints_only_its_error_line(tmp_path, capsys):
     assert proc.returncode == 1
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: non-finite loss at step ")
+
+
+def test_train_with_a_tiny_eval_interval_evaluates_after_every_step(tmp_path, capsys):
+    # 1e-300 added to 0.5 leaves 0.5, so stepping the next eval point by
+    # repeated addition never got past the current epoch fraction
+    data = gen_dataset(tmp_path, capsys, videos=16)
+    curve = tmp_path / "curve.csv"
+    proc = run_process("train", "--data", str(data), "--val", str(data), "--epochs", "1",
+                       "--eval-every", "1e-300", "--clusters", "2", "--hidden", "3",
+                       "--batch-size", "8", "--out-curve", str(curve), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "steps 2" in proc.stdout.splitlines()
+    epochs = [line.split(",")[:2] for line in curve.read_text().splitlines()[1:]]
+    assert [(float(epoch), split) for epoch, split in epochs] == [
+        (0.5, "train"), (0.5, "val"), (1.0, "train"), (1.0, "val")]
+
+
+def mixed_id_dataset(tmp_path, capsys, videos=600):
+    """A gen corpus of 1 to 6 labels a video whose ids are 1 to 4 bytes long, so
+    that its records start at every offset mod 4."""
+    import dataclasses
+
+    from framepool.featureio import save_dataset
+
+    header, corpus = load_dataset(str(gen_dataset(tmp_path, capsys, name="gen.vfr",
+                                                  videos=videos, labels_max=6)))
+    records = [dataclasses.replace(r, id=bytes([65 + i % 26]) * (1 + i % 4))
+               for i, r in enumerate(corpus)]
+    path = tmp_path / "data.vfr"
+    save_dataset(str(path), records, header)
+    return path, header, records
+
+
+@pytest.mark.parametrize("mode", [("hard", "--multiplier", "1"), ("hard", "--multiplier", "2"),
+                                  ("hard", "--multiplier", "3"), ("tail", "--rank-threshold", "3")])
+def test_rebalance_copies_the_bytes_its_subset_encodes_to(tmp_path, capsys, monkeypatch, mode):
+    import dataclasses
+    import io
+
+    from framepool.featureio import write_dataset
+    from framepool.rebalance import build_hard_subset, build_tail_subset
+
+    data, header, records = mixed_id_dataset(tmp_path, capsys)
+    if mode[0] == "hard":
+        subset = build_hard_subset(records, int(mode[2]))
+    else:
+        subset = build_tail_subset(records, int(mode[2]), header.vocab_size)
+    assert isinstance(subset, list) and len(subset) > 256  # more than one chunk
+    want = io.BytesIO()
+    write_dataset(subset, dataclasses.replace(header, record_count=len(subset)), want)
+    # the CLI copies the records' checked byte ranges; it encodes none of them
+    monkeypatch.setattr("framepool.featureio._check_chunk", None)
+    out = tmp_path / "out.vfr"
+    code, _, err = run(capsys, "rebalance", "--data", str(data), "--mode", *mode,
+                       "--out", str(out))
+    assert code == 0, err
+    assert out.read_bytes() == want.getvalue()
+
+
+def test_rebalance_onto_its_own_input_replaces_it_whole(tmp_path, capsys):
+    data, header, records = mixed_id_dataset(tmp_path, capsys, videos=300)
+    expected = tmp_path / "expected.vfr"
+    assert run(capsys, "rebalance", "--data", str(data), "--mode", "hard",
+               "--out", str(expected))[0] == 0
+    code, out, err = run(capsys, "rebalance", "--data", str(data), "--mode", "hard",
+                         "--out", str(data))
+    assert code == 0, err
+    assert data.read_bytes() == expected.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.vfr", "expected.vfr", "gen.vfr"]

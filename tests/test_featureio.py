@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import struct
 import tracemalloc
@@ -8,12 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framepool.featureio import (
+    CHUNK_RECORDS,
+    FORMAT_VERSION,
     HEADER_SIZE,
+    MAGIC,
     ByteReader,
+    Corpus,
     DatasetFormatError,
     DatasetHeader,
     SyntheticSpec,
     VideoRecord,
+    _check_chunk,
     _chunk_records,
     _draw_labels,
     _draw_prototypes,
@@ -487,3 +493,200 @@ def test_header_claiming_2_pow_60_records_fails_at_record_0_without_allocating()
     finally:
         tracemalloc.stop()
     assert peak < 100_000
+
+
+def reference_read_dataset(source):
+    """The reader before the offset index: six ByteReader calls per record, each
+    chunk of CHUNK_RECORDS checked as it fills, one VideoRecord per record.  The
+    oracle for read_dataset's records and for every error it raises."""
+    reader = ByteReader(source.read(), DatasetFormatError)
+    magic, version, *fields = reader.unpack("<4sIIIIQ", "header")
+    if magic != MAGIC:
+        raise DatasetFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
+    if version != FORMAT_VERSION:
+        raise DatasetFormatError(f"unsupported format version {version}")
+    header = DatasetHeader(*fields)
+    header.validate()
+    records, ids, frames, labels = [], [], [], []
+
+    def keep_checked():
+        _, flat, ends = _check_chunk(ids, frames, labels, header, len(records))
+        bounds = [0, *ends.tolist()]
+        records.extend(map(VideoRecord, ids, frames,
+                           [flat[a:b] for a, b in zip(bounds, bounds[1:])]))
+        del ids[:], frames[:], labels[:]
+
+    for index in range(header.record_count):
+        try:
+            (id_len,) = reader.unpack("<H", "id length")
+            video_id = reader.take(id_len, "id")
+            (t,) = reader.unpack("<I", "frame count")
+            if t < 1:
+                raise DatasetFormatError("frame count must be >= 1")
+            rows = reader.array("<f4", (t, header.feature_dim), "frame payload")
+            (n_labels,) = reader.unpack("<H", "label count")
+            label_ids = reader.array("<u4", n_labels, "labels")
+        except DatasetFormatError as exc:
+            keep_checked()
+            raise DatasetFormatError(f"record {index}: {exc}") from None
+        ids.append(video_id)
+        frames.append(rows)
+        labels.append(label_ids)
+        if len(ids) == CHUNK_RECORDS:
+            keep_checked()
+    keep_checked()
+    if reader.left():
+        raise DatasetFormatError(f"{reader.left()} bytes after the last record")
+    return header, records
+
+
+def _outcome(read, blob):
+    """The error message, or the header and each record's id, frame bytes and labels."""
+    try:
+        header, records = read(io.BytesIO(blob))
+    except DatasetFormatError as exc:
+        return str(exc)
+    return header, [(r.id, r.frames.shape, r.frames.tobytes(), r.labels.dtype,
+                     r.labels.tolist()) for r in records]
+
+
+def _mixed_id_blob() -> bytes:
+    """12 records whose ids are 1 to 4 bytes long, so that frame payloads start
+    at every offset mod 4; some id bytes read as a NaN in a float32 view."""
+    header = DatasetHeader(d_video=2, d_audio=1, vocab_size=6, record_count=12)
+    rng = np.random.default_rng(0)
+    ids = [b"\xff", b"\x7f\xff", b"a\xff\xff", b"\xff\xff\xff\x7f"]
+    records = [dataclasses.replace(make_record(rng, header, b""), id=ids[i % 4])
+               for i in range(12)]
+    sink = io.BytesIO()
+    write_dataset(records, header, sink)
+    return sink.getvalue()
+
+
+MIXED_ID_BLOB = _mixed_id_blob()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([FUZZ_BLOB, MIXED_ID_BLOB]), st.lists(_mutations, min_size=1, max_size=3))
+def test_mutated_file_reads_as_the_reference_reader_reads_it(base, mutations):
+    blob = bytearray(base)
+    for kind, at, *arg in mutations:
+        at %= len(blob) + 1
+        if kind == "edit" and at < len(blob):
+            blob[at] = arg[0]
+        elif kind == "truncate":
+            del blob[at:]
+        elif kind == "insert":
+            blob[at:at] = arg[0]
+    assert _outcome(read_dataset, bytes(blob)) == _outcome(reference_read_dataset, bytes(blob))
+
+
+@pytest.mark.parametrize("scan_floats", [None, 1, 3])
+def test_a_nan_in_each_payload_alignment_names_its_record(monkeypatch, scan_floats):
+    if scan_floats is not None:  # finiteness is checked in passes of this many floats
+        monkeypatch.setattr("framepool.featureio._SCAN_FLOATS", scan_floats)
+    blob = MIXED_ID_BLOB
+    _, records = read_dataset(io.BytesIO(blob))
+    starts = [HEADER_SIZE + 2 + len(records[0].id) + 4]
+    for a, b in zip(records, records[1:]):
+        starts.append(starts[-1] + 4 * a.frames.size + 2 + 4 * a.labels.size + 2
+                      + len(b.id) + 4)
+    assert {at % 4 for at in starts} == {0, 1, 2, 3}
+    assert _outcome(read_dataset, blob) == _outcome(reference_read_dataset, blob)
+    for index, at in enumerate(starts):
+        for value in (np.nan, np.inf, -np.inf):
+            for dim in (0, records[index].frames.size - 1):
+                bad = bytearray(blob)
+                bad[at + 4 * dim:at + 4 * dim + 4] = struct.pack("<f", value)
+                want = f"record {index}: non-finite feature value"
+                assert _outcome(reference_read_dataset, bytes(bad)) == want
+                assert _outcome(read_dataset, bytes(bad)) == want
+
+
+def _raw_blob(records, d_video=2, vocab_size=5) -> bytes:
+    """A VFR of (id, frames, labels) triples, assembled without any check."""
+    parts = [struct.pack("<4sIIIIQ", MAGIC, FORMAT_VERSION, d_video, 0, vocab_size,
+                         len(records))]
+    for video_id, frames, labels in records:
+        parts += [struct.pack("<H", len(video_id)), video_id, struct.pack("<I", len(frames)),
+                  np.asarray(frames, "<f4").tobytes(), struct.pack("<H", len(labels)),
+                  np.asarray(labels, "<u4").tobytes()]
+    return b"".join(parts)
+
+
+_OK, _NAN = [[0.5, 1.0]], [[0.5, np.nan]]
+
+
+@pytest.mark.parametrize("bad, want", [
+    ((b"", _OK, [1]), "empty id"),
+    ((b"", _NAN, []), "empty id"),  # a record's first broken rule names it
+    ((b"x", _NAN, []), "non-finite feature value"),
+    ((b"x", _OK, []), "empty label list"),
+    ((b"x", _OK, [3, 3]), "labels must be strictly ascending"),
+    ((b"x", _NAN, [4, 2]), "non-finite feature value"),
+    ((b"x", _OK, [4, 2, 9]), "labels must be strictly ascending"),
+    ((b"x", _OK, [0, 5]), "label id outside [0, 5)"),
+    ((b"x", [], [1]), "frame count must be >= 1"),
+])
+def test_each_broken_rule_is_reported_as_the_reference_reports_it(bad, want):
+    good = (b"ok", _OK, [1, 2])
+    blob = _raw_blob([good, bad, good, (b"", _NAN, [])])
+    assert _outcome(read_dataset, blob) == _outcome(reference_read_dataset, blob)
+    assert _outcome(read_dataset, blob) == f"record 1: {want}"
+
+
+def test_non_finite_patterns_outside_payloads_are_not_frame_errors():
+    # seven 0xff id bytes read as a NaN in all four float32 views, and the
+    # trailing bytes hold a float32 NaN: only the trailing bytes are an error
+    header = DatasetHeader(d_video=1, d_audio=0, vocab_size=3, record_count=2)
+    records = [VideoRecord(b"\xff" * 7, np.ones((1, 1), np.float32),
+                           np.array([0])),
+               VideoRecord(b"\x7f\xc0\xff", np.ones((2, 1), np.float32), np.array([1, 2]))]
+    sink = io.BytesIO()
+    write_dataset(records, header, sink)
+    _, got = read_dataset(io.BytesIO(sink.getvalue()))
+    assert [r.id for r in got] == [r.id for r in records]
+    nan = struct.pack("<f", np.nan)
+    for tail in (nan, b"\x00" + nan, b"\x00\x00" + nan, b"\x00\x00\x00" + nan):
+        with pytest.raises(DatasetFormatError, match=f"^{len(tail)} bytes after the last record$"):
+            read_dataset(io.BytesIO(sink.getvalue() + tail))
+
+
+def test_read_returns_a_corpus_whose_columns_index_the_file():
+    _, corpus = read_dataset(io.BytesIO(MIXED_ID_BLOB))
+    assert isinstance(corpus, Corpus) and len(corpus) == 12
+    assert corpus.offsets[0] == HEADER_SIZE and corpus.offsets[-1] == len(MIXED_ID_BLOB)
+    _, want = reference_read_dataset(io.BytesIO(MIXED_ID_BLOB))
+    for i, record in enumerate(want):
+        assert corpus.frame_counts[i] == len(record.frames)
+        assert corpus.labels[corpus.label_ends[i] - record.labels.size:corpus.label_ends[i]
+                             ].tolist() == record.labels.tolist()
+    assert corpus._records == []  # no record is built before an item is asked for
+    first = corpus[0]
+    assert corpus[0] is first
+    assert not first.frames.flags.writeable and not first.labels.flags.writeable
+    selection = corpus[np.array([3, 3, 0])]
+    assert [r.id for r in selection] == [want[3].id, want[3].id, want[0].id]
+    assert selection[0] is corpus[3]  # built once, shared by every selection
+    labels, sizes = selection.label_columns()
+    assert sizes.tolist() == [want[3].labels.size, want[3].labels.size, want[0].labels.size]
+    assert labels.tolist() == [*want[3].labels, *want[3].labels, *want[0].labels]
+    assert [r.id for r in corpus[10:]] == [want[10].id, want[11].id]
+
+
+@pytest.mark.parametrize("index", [[], [0], [5, 5, 1], list(range(12))[::-1]])
+def test_a_corpus_selection_writes_the_bytes_its_records_encode_to(index):
+    _, corpus = read_dataset(io.BytesIO(MIXED_ID_BLOB))
+    selection = corpus[np.array(index, dtype=np.int64)]
+    header = dataclasses.replace(corpus.header, record_count=len(index))
+    copied, encoded = io.BytesIO(), io.BytesIO()
+    assert write_dataset(selection, header, copied) == len(copied.getvalue())
+    write_dataset([corpus[i] for i in index], header, encoded)
+    assert copied.getvalue() == encoded.getvalue()
+    # another layout encodes the records again, and checks them against it
+    wide = io.BytesIO()
+    write_dataset(selection, dataclasses.replace(header, vocab_size=7), wide)
+    assert wide.getvalue()[HEADER_SIZE:] == copied.getvalue()[HEADER_SIZE:]
+    if any(r.labels.max() >= 2 for r in selection):
+        with pytest.raises(DatasetFormatError, match="label id outside"):
+            write_dataset(selection, dataclasses.replace(header, vocab_size=2), io.BytesIO())

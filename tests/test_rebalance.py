@@ -183,3 +183,34 @@ def test_stats_csv_shape():
     assert lines[0] == "rank,label,count,cumulative_coverage"
     assert len(lines) == 4
     assert lines[1].startswith("0,1,2,")  # label 1 is rank 0 with count 2
+
+
+def test_hard_subset_of_a_read_corpus_is_written_a_chunk_at_a_time(tmp_path):
+    import dataclasses
+    import tracemalloc
+
+    from framepool.featureio import load_dataset, save_dataset, write_dataset
+
+    spec = SyntheticSpec(num_videos=2000, vocab_size=20, labels_max=5, seed=3)
+    path = str(tmp_path / "data.vfr")
+    save_dataset(path, generate_synthetic(spec), spec.header())
+    header, corpus = load_dataset(path)
+    subset = build_hard_subset(corpus, 3)
+
+    class CountingSink:
+        size = 0
+
+        def write(self, chunk):
+            self.size += len(chunk)
+            return len(chunk)
+
+    sink = CountingSink()
+    tracemalloc.start()
+    try:
+        written = write_dataset(subset, dataclasses.replace(header, record_count=len(subset)),
+                                sink)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert written == sink.size > 4_000_000
+    assert peak < written / 8

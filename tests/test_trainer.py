@@ -17,6 +17,7 @@ from framepool.trainer import (
     CheckpointFormatError,
     PhasePlan,
     TrainConfig,
+    _next_eval_point,
     checkpoint_bytes,
     checkpoint_from_bytes,
     curve_csv,
@@ -560,3 +561,19 @@ def test_train_and_evaluate_reject_a_label_outside_the_vocabulary(label):
     with pytest.raises(ValueError, match=message):
         evaluate(val, model, TrainConfig(batch_size=4).loss)
     assert_params_equal(before, params_of(model))
+
+
+@pytest.mark.parametrize("eval_every", [0.25, 0.5, 1.25])
+def test_next_eval_point_equals_repeated_addition_for_binary_exact_intervals(eval_every):
+    # the closed form replaced a loop that added eval_every until it passed f
+    for f in np.arange(0, 6.0, 1 / 64):
+        point = eval_every
+        while point <= f:
+            point += eval_every
+        assert _next_eval_point(float(f), eval_every) == point
+
+
+def test_next_eval_point_lies_above_f_for_intervals_too_small_to_add():
+    for eval_every in (1e-300, 5e-324, 1e-17):
+        assert _next_eval_point(0.5, eval_every) == math.nextafter(0.5, math.inf)
+    assert _next_eval_point(0.0, 5e-324) == 5e-324
