@@ -24,8 +24,9 @@ carriage return, then each block of videos' rows formatted in one pass.
 Ties are broken deterministically everywhere: within a video by ascending
 label id, so a tie across the n-th place keeps the lower label id; in the
 global pool by video input order, then label id (a stable sort of the
-entries, which are in that order).  Two runs of the same evaluation are
-therefore bit-identical.  For pairs the within-video order is a lexsort.
+entries, which are in that order, found by an unstable sort and one fix-up
+sort within ties).  Two runs of the same evaluation are therefore
+bit-identical.  For pairs the within-video order is a lexsort.
 For probabilities it is what a stable argsort of -probs keeps, found from a
 partition: the n best labels of a row, sorted by label id and then stably by
 confidence.  That set is unique unless a confidence equal to the n-th one
@@ -181,6 +182,15 @@ def _top_n(predictions, truth, config: GapConfig):
     return video[keep], predictions.confs[keep], truth.hits[keep], truth.positives
 
 
+def _pool_order(confs: np.ndarray) -> np.ndarray:
+    """np.argsort(-confs, kind="stable"): an unstable sort, then each run of
+    equal confidences put back in entry order by one sort of run * M + entry."""
+    order = np.argsort(-confs)
+    ranked = confs[order]
+    run = np.concatenate(([0], np.cumsum(ranked[1:] != ranked[:-1])))
+    return np.sort(run * len(confs) + order) % len(confs)
+
+
 def _pooled_hits(predictions, truth, config: GapConfig) -> tuple[np.ndarray, int]:
     """The pool's hits in pool order (descending confidence, then video
     order, then label id: a stable sort of entries in that order), and P."""
@@ -188,7 +198,7 @@ def _pooled_hits(predictions, truth, config: GapConfig) -> tuple[np.ndarray, int
     total_truth = int(positives.sum())
     if total_truth == 0:
         raise ValueError("no ground-truth pairs among evaluated videos (P = 0)")
-    return hits[np.argsort(-confs, kind="stable")], total_truth
+    return hits[_pool_order(confs)], total_truth
 
 
 def gap(predictions: Ranked | Predictions, truth: Truth | Mapping,

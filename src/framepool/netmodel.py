@@ -3,8 +3,9 @@
 Each video's frame rows carry video features then audio features.  In
 "separate" mode the two column blocks are pooled by independent towers and the
 pooled descriptors concatenated; in "concatenated" mode one tower pools the
-full rows.  A batch is zero-padded to (B, Tmax, D) once, and each tower pools
-it in one kernel call.  The pooled vectors then pass through hidden ReLU and
+full rows.  A batch is zero-padded once, straight into one contiguous
+(B, Tmax, width) array per tower, and each tower pools its own in one kernel
+call.  The pooled vectors then pass through hidden ReLU and
 sigmoid output layers, giving one probability per label.
 
 Separate mode exists because the wide concatenated configuration at
@@ -222,15 +223,14 @@ def _kernels(kind: str):
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # Two-branch form never exponentiates a positive number; the clip keeps
+    # Two-branch form never exponentiates a positive number: with e = exp(-|z|)
+    # it is 1 / (1 + e) for z >= 0 and e / (1 + e) below.  The clip keeps
     # probabilities strictly inside (0, 1) even where float64 would round to
     # an endpoint.
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return np.clip(out, PROB_FLOOR, 1.0 - PROB_FLOOR)
+    e = np.exp(-np.abs(z))
+    out = np.where(z >= 0, 1.0, e)
+    out /= 1.0 + e
+    return np.clip(out, PROB_FLOOR, 1.0 - PROB_FLOOR, out=out)
 
 
 @dataclass
@@ -245,17 +245,20 @@ class ForwardCache:
     probs: np.ndarray  # (B, L)
 
 
-def _pad(batch: list[np.ndarray], width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Records stacked into one zero-padded (B, Tmax, width) array, plus lengths."""
-    records = [np.asarray(frames, dtype=np.float64) for frames in batch]
-    for frames in records:
+def _pad(batch: list[np.ndarray], widths: list[int]) -> tuple[list[np.ndarray], np.ndarray]:
+    """Records stacked and zero-padded, straight into one contiguous float64
+    (B, Tmax, w) array per column block w of `widths`, plus the lengths."""
+    batch, width = [np.asarray(frames) for frames in batch], sum(widths)
+    for frames in batch:
         if frames.ndim != 2 or frames.shape[1] != width:
             raise ValueError(f"record shape {frames.shape} inconsistent with feature_dim {width}")
-    lengths = np.array([len(frames) for frames in records])
-    padded = np.zeros((len(records), lengths.max(), width))
-    for row, frames in zip(padded, records):
-        row[: len(frames)] = frames
-    return padded, lengths
+    lengths = np.array([len(frames) for frames in batch])
+    real = np.arange(lengths.max()) < lengths[:, None]
+    rows, ends = np.concatenate(batch), np.cumsum(widths)
+    blocks = [np.zeros(real.shape + (w,)) for w in widths]
+    for block, end, w in zip(blocks, ends, widths):
+        block[real] = rows[:, end - w:end]
+    return blocks, lengths
 
 
 def model_forward(batch: list[np.ndarray], model: Model) -> tuple[np.ndarray, ForwardCache]:
@@ -264,13 +267,14 @@ def model_forward(batch: list[np.ndarray], model: Model) -> tuple[np.ndarray, Fo
     if len(batch) == 0:
         raise ValueError("empty batch")
     pool = _kernels(cfg.pooling_kind)[0]
-    frames, lengths = _pad(batch, cfg.feature_dim)
     if model.audio_pool is None:
+        (frames,), lengths = _pad(batch, [cfg.feature_dim])
         pooled, video_cache = pool(frames, model.video_pool, lengths)
         audio_cache = None
     else:
-        video, video_cache = pool(frames[:, :, : cfg.d_video], model.video_pool, lengths)
-        audio, audio_cache = pool(frames[:, :, cfg.d_video:], model.audio_pool, lengths)
+        (video, audio), lengths = _pad(batch, [cfg.d_video, cfg.d_audio])
+        video, video_cache = pool(video, model.video_pool, lengths)
+        audio, audio_cache = pool(audio, model.audio_pool, lengths)
         pooled = np.concatenate([video, audio], axis=1)
 
     hidden_pre = pooled @ model.hidden_w + model.hidden_b

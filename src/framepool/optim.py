@@ -3,16 +3,17 @@
 Parameters, gradients (a ModelGradients is a Model of the same config) and
 Adam's two moments share one layout (netmodel's param_spec), so a step is a
 few whole-vector elementwise operations, and bit-identical to stepping each
-named array on its own.  A model step rejects a non-finite gradient, naming
-its array, before it changes anything.  After every update the model's
-floored views, the NetFV spreads, are projected back to the positivity floor
-EPS_SPREAD; keeping that constraint by projection rather than
-reparameterization keeps the gradients directly checkable.
+named array on its own.  Adam's temporaries go to two work vectors that its
+state holds and a checkpoint leaves out.  A model step rejects a non-finite
+gradient, naming its array, before it changes anything.  After every update
+the model's floored views, the NetFV spreads, are projected back to the
+positivity floor EPS_SPREAD; keeping that constraint by projection rather
+than reparameterization keeps the gradients directly checkable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -29,6 +30,11 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
+    # two work vectors of m's shape for the update's temporaries; never saved
+    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
 
 def _check_shapes(*vectors: np.ndarray) -> None:
@@ -60,11 +66,15 @@ def adam_update(w: np.ndarray, g: np.ndarray, state: AdamState, lr: float,
     bc1 = 1.0 - state.beta1**t
     bc2 = 1.0 - state.beta2**t
     m, v = state.m, state.v
+    num, denom = state.scratch
+    # w -= lr (m / bc1) / (sqrt(v / bc2) + eps), each temporary into scratch
     m *= state.beta1
-    m += (1.0 - state.beta1) * g
+    m += np.multiply(1.0 - state.beta1, g, out=num)
     v *= state.beta2
-    v += (1.0 - state.beta2) * (g * g)
-    w -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    v += np.multiply(1.0 - state.beta2, np.multiply(g, g, out=num), out=num)
+    np.multiply(lr, np.divide(m, bc1, out=num), out=num)
+    np.add(np.sqrt(np.divide(v, bc2, out=denom), out=denom), state.eps, out=denom)
+    w -= np.divide(num, denom, out=num)
     _floor(floored)
 
 

@@ -53,10 +53,14 @@ class Tower:
 
 
 def row_softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, max-subtracted so logits up to +-1e4 cannot overflow."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, max-subtracted so logits up to +-1e4 cannot overflow.
+    A max is exact in any order, and reduceat over the flat logits is the fast one."""
+    k = logits.shape[-1]
+    row_max = np.maximum.reduceat(logits.ravel(), np.arange(0, logits.size, k))
+    e = logits - row_max.reshape(logits.shape[:-1] + (1,))
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _check_batch(frames: np.ndarray, lengths: np.ndarray, d: int):
@@ -79,7 +83,8 @@ def _check_batch(frames: np.ndarray, lengths: np.ndarray, d: int):
 def _assign(x: np.ndarray, params: Tower, mask: np.ndarray) -> np.ndarray:
     b, t, d = x.shape
     logits = (x.reshape(b * t, d) @ params.assign_weights).reshape(b, t, -1)
-    return row_softmax(logits + params.assign_bias) * mask[:, :, None]
+    a = row_softmax(np.add(logits, params.assign_bias, out=logits))
+    return np.multiply(a, mask[:, :, None], out=a)
 
 
 def _assign_backward(x: np.ndarray, a: np.ndarray, da: np.ndarray, dx: np.ndarray,
@@ -93,18 +98,26 @@ def _assign_backward(x: np.ndarray, a: np.ndarray, da: np.ndarray, dx: np.ndarra
     return dx
 
 
+def _guarded_divide(kept: np.ndarray, num: np.ndarray, r: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """num / r per vector (into `out` if given), but `kept` where r < NORM_GUARD."""
+    guarded = r < NORM_GUARD
+    if not guarded.any():
+        return np.divide(num, r[..., None], out=out)
+    guarded = guarded[..., None]
+    return np.where(guarded, kept, num / np.where(guarded, 1.0, r[..., None]))
+
+
 def _normalize(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """L2-normalize along the last axis; below NORM_GUARD a vector passes through."""
-    r = np.linalg.norm(v, axis=-1)
-    guarded = (r < NORM_GUARD)[..., None]
-    return np.where(guarded, v, v / np.where(guarded, 1.0, r[..., None])), r
+    r = np.sqrt(np.add.reduce(v * v, axis=-1))  # what np.linalg.norm computes
+    return _guarded_divide(v, v, r), r
 
 
 def _normalize_backward(g: np.ndarray, y: np.ndarray, r: np.ndarray) -> np.ndarray:
     # d/dv of <g, v/|v|> = (g - y (g.y)) / |v|; identity on the guard branch.
-    guarded = (r < NORM_GUARD)[..., None]
-    dots = (g * y).sum(axis=-1, keepdims=True)
-    return np.where(guarded, g, (g - y * dots) / np.where(guarded, 1.0, r[..., None]))
+    num = y * (g * y).sum(axis=-1, keepdims=True)
+    return _guarded_divide(g, np.subtract(g, num, out=num), r, out=num)
 
 
 def _check_upstream(upstream: np.ndarray, expected: tuple[int, int]) -> np.ndarray:
@@ -132,7 +145,8 @@ def vlad_forward(frames: np.ndarray, params: Tower,
     x, mask = _check_batch(frames, lengths, len(params.assign_weights))
     a = _assign(x, params, mask)
     mass = a.sum(axis=1)
-    v = np.matmul(a.transpose(0, 2, 1), x) - mass[:, :, None] * params.centers
+    v = np.matmul(a.transpose(0, 2, 1), x)
+    v -= np.einsum("bk,kd->bkd", mass, params.centers)
     row_vecs, row_norms = _normalize(v)
     flat_vec, flat_norm = _normalize(row_vecs.reshape(len(x), -1))
     cache = _VladCache(frames=x, params=params, assign=a, mass=mass, row_vecs=row_vecs,

@@ -63,7 +63,9 @@ def label_frequency_stats(records: Sequence[VideoRecord], vocab_size: int) -> La
         raise ValueError("empty dataset")
     if vocab_size < 1:
         raise ValueError(f"vocab_size must be >= 1, got {vocab_size}")
-    labels, _ = _label_columns(records)
+    labels, sizes = _label_columns(records)
+    if not sizes.all():
+        raise ValueError(f"record {np.argmin(sizes)} has no labels")
     if labels.min() < 0 or labels.max() >= vocab_size:
         raise ValueError(f"label id outside [0, {vocab_size})")
     counts = np.bincount(labels, minlength=vocab_size)
@@ -79,10 +81,8 @@ def build_tail_subset(records: Sequence[VideoRecord], rank_threshold: int,
         raise ValueError(
             f"rank_threshold must be in [0, {vocab_size}), got {rank_threshold}"
         )
-    ranks = label_frequency_stats(records, vocab_size).ranks
+    ranks = label_frequency_stats(records, vocab_size).ranks  # rejects a record with no labels
     labels, sizes = _label_columns(records)
-    if not sizes.all():
-        raise ValueError(f"record {np.argmin(sizes)} has no labels")
     worst = np.maximum.reduceat(ranks[labels], np.cumsum(sizes) - sizes)  # rarest label
     return _select(records, np.flatnonzero(worst > rank_threshold))
 

@@ -151,23 +151,39 @@ def check_records(records: Sequence[VideoRecord], model: Model) -> None:
                              f"[0, {vocab})")
 
 
-def score_chunks(records: Sequence[VideoRecord], model: Model
-                 ) -> Iterator[tuple[list[bytes], np.ndarray, np.ndarray]]:
-    """The one scoring forward pass: the records checked against the model,
-    then (ids, probs, targets) for each EVAL_CHUNK of their unique videos."""
+def _scoring_chunks(records: Sequence[VideoRecord], model: Model) -> Iterator[tuple]:
+    """The records checked against the model, then (ids, frames, records) for
+    each EVAL_CHUNK of their unique videos."""
     check_records(records, model)
     records = dedupe_by_id(records)
     if not records:
         raise ValueError("nothing to evaluate")
     for start in range(0, len(records), EVAL_CHUNK):
         chunk = records[start:start + EVAL_CHUNK]
-        probs, _ = model_forward([r.frames for r in chunk], model)
-        yield [r.id for r in chunk], probs, label_targets(chunk, model.config.vocab_size)
+        yield [r.id for r in chunk], [r.frames for r in chunk], chunk
 
 
-def evaluate(records: Sequence[VideoRecord], model: Model, loss_params: HuberParams,
+@dataclass(frozen=True)
+class Split:
+    """A record list's scoring chunks, checked, deduped and cut once, for a
+    caller that scores the same records at every eval point."""
+    chunks: list[tuple[list[bytes], list[np.ndarray], list[VideoRecord]]]
+
+
+def score_chunks(records: Sequence[VideoRecord] | Split, model: Model
+                 ) -> Iterator[tuple[list[bytes], np.ndarray, np.ndarray]]:
+    """The one scoring forward pass: the records checked against the model,
+    then (ids, probs, targets) for each EVAL_CHUNK of their unique videos.  A
+    Split is already checked; a record list is checked and cut as it goes."""
+    chunks = records.chunks if isinstance(records, Split) else _scoring_chunks(records, model)
+    for ids, frames, chunk in chunks:
+        probs, _ = model_forward(frames, model)
+        yield ids, probs, label_targets(chunk, model.config.vocab_size)
+
+
+def evaluate(records: Sequence[VideoRecord] | Split, model: Model, loss_params: HuberParams,
              top_n: int = 20) -> tuple[float, float]:
-    """(GAP, mean loss) over the unique videos of a record list."""
+    """(GAP, mean loss) over the unique videos of a record list or a Split."""
     ids, probs, targets = zip(*score_chunks(records, model))
     probs = np.vstack(probs)  # one at a time, so each chunk list is freed as it is stacked
     targets = np.vstack(targets)
@@ -195,8 +211,7 @@ def train(records: Sequence[VideoRecord], val_records: Sequence[VideoRecord],
         raise ValueError("empty training dataset")
     if len(val_records) == 0:
         raise ValueError("empty validation dataset")
-    check_records(records, model)
-    check_records(val_records, model)
+    splits = [Split(list(_scoring_chunks(split, model))) for split in (records, val_records)]
 
     b = config.batch_size
     spe = steps_per_epoch(n, b)
@@ -215,8 +230,8 @@ def train(records: Sequence[VideoRecord], val_records: Sequence[VideoRecord],
         nonlocal last_eval_step
         f = fraction(step)
         lr = lr_at(f, config.schedule)
-        train_gap, train_loss = evaluate(records, model, config.loss, top_n=config.gap_top_n)
-        val_gap, val_loss = evaluate(val_records, model, config.loss, top_n=config.gap_top_n)
+        (train_gap, train_loss), (val_gap, val_loss) = [
+            evaluate(split, model, config.loss, top_n=config.gap_top_n) for split in splits]
         curve.append((epoch_offset + f, "train", train_gap, train_loss, lr))
         curve.append((epoch_offset + f, "val", val_gap, val_loss, lr))
         last_eval_step = step
@@ -228,8 +243,9 @@ def train(records: Sequence[VideoRecord], val_records: Sequence[VideoRecord],
             if fraction(step) >= config.epoch_budget:
                 break
             idx = perm[chunk_start:chunk_start + b]
-            batch = [records[i].frames for i in idx]
-            targets = label_targets([records[i] for i in idx], model.config.vocab_size)
+            chosen = [records[i] for i in idx.tolist()]
+            batch = [record.frames for record in chosen]
+            targets = label_targets(chosen, model.config.vocab_size)
 
             lr = lr_at(fraction(step), config.schedule)
             probs, cache = model_forward(batch, model)

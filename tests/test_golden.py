@@ -13,7 +13,9 @@ the digests here.
 The data files are pinned the same way: a toy ``gen`` VFR, its ``stats`` CSV
 and both ``rebalance`` outputs.  Their bytes follow from the generator, the
 VFR codec and the rebalance recipes alone, so no change short of a new
-format or a new recipe may move them.
+format or a new recipe may move them.  So is ``framepool eval`` of a toy K=8
+checkpoint on 300 videos, three scoring chunks: its predictions CSV, its
+``--out-miss`` CSV and its stdout.
 """
 
 import contextlib
@@ -81,3 +83,34 @@ def test_gen_stats_and_rebalance_bytes_are_pinned(tmp_path):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in DATA_SHA256}
     assert digests == DATA_SHA256
+
+
+EVAL_SHA256 = {
+    "predictions.csv": "8f348b0ff44bf0a1d560f6c25ceeb3e4b181f5fcbac19b4beb29b0d953f4b188",
+    "miss.csv": "3d3309fe24af2a09d134ba6cdfba7d6abea9809aa9c3fda87cb6e2b53f74b1c0",
+    "stdout": "36d68068e1d1f75ff6da779432be0efadd3d555d8cda48d26ecfe1d3256d4f22",
+}
+
+
+def test_eval_predictions_miss_csv_and_stdout_bytes_are_pinned(tmp_path, monkeypatch):
+    # relative paths, so that the config banner on stdout is the same in any directory;
+    # 300 videos are scored in three EVAL_CHUNK chunks by a K=8 NetVLAD checkpoint
+    monkeypatch.chdir(tmp_path)
+    setup = [
+        ["gen", "--videos", "120", "--vocab", "30", "--seed", "7", "--out", "train.vfr"],
+        ["gen", "--videos", "300", "--vocab", "30", "--seed", "7", "--out", "data.vfr"],
+        ["train", "--data", "train.vfr", "--val", "train.vfr", "--clusters", "8",
+         "--hidden", "16", "--epochs", "1", "--eval-every", "1", "--output-prior", "0.07",
+         "--out-checkpoint", "model.vpck"],
+    ]
+    for argv in setup:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["eval", "--checkpoint", "model.vpck", "--data", "data.vfr",
+                     "--out-predictions", "predictions.csv", "--out-miss", "miss.csv"]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("predictions.csv", "miss.csv")}
+    digests["stdout"] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digests == EVAL_SHA256

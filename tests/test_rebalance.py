@@ -72,6 +72,11 @@ def test_empty_dataset_rejected():
         label_frequency_stats([], 5)
 
 
+def test_stats_of_a_record_with_no_labels_names_the_record():
+    with pytest.raises(ValueError, match="^record 0 has no labels$"):
+        label_frequency_stats([record([])], 5)
+
+
 # ---------------------------------------------------------------- tail subset
 
 
@@ -116,6 +121,11 @@ def test_tail_threshold_bounds_enforced():
         build_tail_subset(records, 1, 1)
     with pytest.raises(ValueError, match="rank_threshold"):
         build_tail_subset(records, -1, 1)
+
+
+def test_tail_subset_of_a_record_with_no_labels_names_the_record():
+    with pytest.raises(ValueError, match="^record 0 has no labels$"):
+        build_tail_subset([record([])], 0, 5)
 
 
 # ---------------------------------------------------------------- hard subset
