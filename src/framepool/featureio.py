@@ -19,8 +19,8 @@ silently poisons every downstream gradient check.
 A read takes the file into one buffer, finds each record's byte offset in one
 walk (a ``struct.unpack_from`` per id length, frame count and label count) and
 then checks the whole file once, each rule in one vectorized pass: the frames
-as one float32 view of the buffer per byte alignment, label order and range
-over one flat int64 label array.  It returns a ``Corpus`` of those columns,
+as payload rows gathered from a float32 view per byte alignment, label order
+and range over one flat int64 label array.  It returns a ``Corpus`` of those columns,
 whose records (frames are read-only views of the buffer) are built on first
 item access; a corpus selection written in its own layout copies each
 record's checked byte range.  Other records are written CHUNK_RECORDS at a
@@ -36,8 +36,8 @@ power law over label ids (id 0 most frequent).  Labels are therefore linearly
 recoverable, which gives end-to-end training a known-achievable target.  Each
 video's label draws consume the generator's stream exactly as
 ``rng.choice(vocab, k, replace=False, p=weights)`` would, and give the same
-labels, so a spec keeps its bytes; frames are built CHUNK_RECORDS videos at a
-time, and each record's frames are a row slice of its chunk's float32 block.
+labels, so a spec keeps its bytes; noise is drawn into one block and frames are
+built CHUNK_RECORDS videos at a time, each a row slice of a float32 block.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from itertools import chain, repeat
 from typing import BinaryIO, Callable, Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 MAGIC = b"VFR1"
 FORMAT_VERSION = 1
@@ -313,23 +314,27 @@ class Corpus(Sequence[VideoRecord]):
 
 def _first_bad_record(corpus: Corpus) -> int:
     """The lowest record of a whole-file corpus that breaks a rule, or its
-    length.  Each rule runs once over the file; the frames are checked as one
-    float32 view of the buffer per byte alignment, where a non-finite value
-    counts only inside a payload of that alignment."""
-    frames_at, sizes = corpus.frames_at, np.diff(corpus.label_ends, prepend=0)
-    frames_end = frames_at + 4 * corpus.header.feature_dim * corpus.frame_counts
+    length.  Each rule runs once over the file; the frames are checked as the
+    payload rows of each byte alignment's records, gathered from a float32
+    view of the buffer at that alignment _SCAN_FLOATS floats at a time."""
+    frames_at, width = corpus.frames_at, corpus.header.feature_dim
+    sizes = np.diff(corpus.label_ends, prepend=0)
     empty = (frames_at - 6 == corpus.offsets[:-1]) | (sizes == 0)  # id or labels
     bad = int(np.argmax(empty)) if empty.any() else len(sizes)
-    for align in range(4) if bad else ():
+    step = max(1, _SCAN_FLOATS // width)  # payload rows per pass
+    for align in range(4):
+        owners = np.flatnonzero(frames_at[:bad] % 4 == align)
+        counts = corpus.frame_counts[owners]
+        row_ends = np.cumsum(counts)  # the class's payload rows, record by record
+        at = (frames_at[owners] - align) // 4 - width * (row_ends - counts)  # + width * row
         floats = np.frombuffer(corpus.buf, _F4, (len(corpus.buf) - align) // 4, align)
-        for first in range(0, len(floats), _SCAN_FLOATS):
-            finite = np.isfinite(floats[first:first + _SCAN_FLOATS])
+        for first in range(0, int(row_ends[-1:].sum()), step):
+            row = np.arange(first, min(first + step, int(row_ends[-1])))
+            record = np.searchsorted(row_ends, row, "right")
+            finite = np.isfinite(sliding_window_view(floats, width)[at[record] + width * row])
             if not finite.all():
-                at = align + 4 * (first + np.flatnonzero(~finite))
-                owner = np.searchsorted(frames_at, at, "right") - 1
-                inside = ((owner >= 0) & (at < frames_end[owner])
-                          & (frames_at[owner] % 4 == align))
-                bad = min(bad, int(owner[inside].min(initial=bad)))
+                bad = min(bad, int(owners[record[np.argmin(finite.all(axis=1))]]))
+                break
     ends = corpus.label_ends[:bad]  # the label rules need at least one label a record
     return min(bad, _first_bad_labels(corpus.labels[:ends[-1:].sum()], ends, sizes[:bad],
                                       corpus.header.vocab_size))
@@ -497,9 +502,9 @@ def _draw_labels(rng: np.random.Generator, cdf: list, weights: np.ndarray, k: in
     found = set(map(bisect.bisect_right, repeat(cdf, k), rng.random(k).tolist()))
     if len(found) < k and k > np.count_nonzero(weights):
         raise ValueError("Fewer non-zero entries in p than size")
-    p = weights.copy()
     while len(found) < k:
         x = rng.random(k - len(found))
+        p = weights.copy()
         p[list(found)] = 0
         rest = np.cumsum(p)
         rest /= rest[-1]
@@ -507,11 +512,14 @@ def _draw_labels(rng: np.random.Generator, cdf: list, weights: np.ndarray, k: in
     return sorted(found)
 
 
-def _chunk_records(protos: np.ndarray, first: int, labels: list, noise: list,
-                   noise_scale: float) -> list[VideoRecord]:
+def _chunk_records(protos: np.ndarray, first: int, labels: list, noise,
+                   noise_scale: float, lengths: list | None = None) -> list[VideoRecord]:
     """Records ``first, first + 1, ...`` from their label lists and (T, D)
-    noise draws: the mean of each record's prototypes plus the scaled noise,
+    noise draws, a list or the rows of one block with each draw's T in
+    ``lengths``: the mean of each record's prototypes plus the scaled noise,
     cast to float32 in one block whose row slices are the records' frames."""
+    if lengths is None:
+        lengths, noise = [len(rows) for rows in noise], np.concatenate(noise)
     sizes = np.array([len(label_ids) for label_ids in labels])
     base = np.empty((len(labels), protos.shape[1]))
     # one (videos, k, D) mean per label count k sums in the order each video's own
@@ -519,11 +527,9 @@ def _chunk_records(protos: np.ndarray, first: int, labels: list, noise: list,
     for k in np.unique(sizes).tolist():
         rows = np.flatnonzero(sizes == k)
         base[rows] = protos[[labels[i] for i in rows.tolist()]].mean(axis=1)
-    lengths = [len(rows) for rows in noise]
-    block = np.concatenate(noise)
-    block *= noise_scale
-    block += np.repeat(base, lengths, axis=0)
-    frames = block.astype(np.float32)
+    noise *= noise_scale
+    noise += np.repeat(base, lengths, axis=0)
+    frames = noise.astype(np.float32)
     flat = np.fromiter(chain.from_iterable(labels), np.int64, int(sizes.sum()))
     row_ends, label_ends = np.cumsum(lengths).tolist(), np.cumsum(sizes).tolist()
     return [VideoRecord(f"v{first + i:06d}".encode(), frames[end - t:end], flat[stop - k:stop])
@@ -543,13 +549,17 @@ def generate_synthetic(spec: SyntheticSpec) -> list[VideoRecord]:
     cdf = np.cumsum(weights)
     cdf = (cdf / cdf[-1]).tolist()
     records: list[VideoRecord] = []
-    labels, noise = [], []  # the chunk drawn but not yet built
+    labels, lengths = [], []  # the chunk drawn but not yet built
+    block, at = np.empty((CHUNK_RECORDS * spec.t_max, spec.feature_dim)), 0  # rows drawn
     for v in range(spec.num_videos):
         k = int(rng.integers(spec.labels_min, spec.labels_max + 1))
         labels.append(_draw_labels(rng, cdf, weights, k))
         t = int(rng.integers(spec.t_min, spec.t_max + 1))
-        noise.append(rng.standard_normal((t, spec.feature_dim)))
-        if len(noise) == CHUNK_RECORDS or v == spec.num_videos - 1:
-            records += _chunk_records(protos, len(records), labels, noise, spec.noise_scale)
-            labels, noise = [], []
+        rng.standard_normal(out=block[at:at + t])
+        lengths.append(t)
+        at += t
+        if len(lengths) == CHUNK_RECORDS or v == spec.num_videos - 1:
+            records += _chunk_records(protos, len(records), labels, block[:at],
+                                      spec.noise_scale, lengths)
+            labels, lengths, at = [], [], 0
     return records

@@ -17,9 +17,14 @@ a truth mapping (CSV input); it also rejects a video with no truth entry or a
 duplicate label.  Both reject a non-finite confidence, naming the video.  gap,
 gap_bruteforce and miss_analysis keep each video's first n entries and take
 pairs too, ranking them through rank_pairs.  A Ranked iterates as (video_id,
-[(label, confidence), ...]).  write_predictions_csv writes a Ranked a column
-at a time: each id quoted once as csv quotes it, and also where it holds a
-carriage return, then each block of videos' rows formatted in one pass.
+[(label, confidence), ...]).  write_predictions_csv writes a Ranked 1,024
+videos at a time as padded uint8 columns cut out by one mask: each id quoted
+once as csv quotes it (also where it holds a carriage return), each label from
+a table, and each confidence c in [1e-13, 1) as format(c, ".10g") would, from
+e = floor(log10(c)) (fixed by one when the digits leave [1e9, 1e10)) and the
+digits rint(y), y = c * 10**(9 - e) rounded once as the power is exact.  y is
+within 2**-20 of exact, so the digits are proven unless y is within 2**-18 of
+a half or below 1e9 - 0.05; those, and any c outside [1e-13, 1), go to format().
 
 Ties are broken deterministically everywhere: within a video by ascending
 label id, so a tie across the n-th place keeps the lower label id; in the
@@ -42,7 +47,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from itertools import chain, repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -322,21 +326,87 @@ class _Echo:
 # ids are quoted by a writer whose rows end in "\r\n", so that an id holding a
 # bare "\r", where csv.reader would end the row, is quoted too
 _quote_row = csv.writer(_Echo(), lineterminator="\r\n").writerow
-_CSV_BLOCK = 128  # videos formatted per join, so only one block's rows are held twice
+_CSV_BLOCK = 1024  # videos encoded per block
+_BLOCK_CELLS = 1 << 22  # a block of wider ids is halved until its rows fit
+_LABEL_TABLE = 1 << 16  # label texts tabled by offset from the least label
+_POW10 = np.array([float(10 ** k) for k in range(23)])  # each exact in float64
+_DIGITS4 = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"),
+                    axis=-1).reshape(-1, 4)  # the four zero-padded digits of 0..9999
+_HEAD3 = np.insert(_DIGITS4[:100, 2:], 1, ord("."), axis=1)  # d.d of 10..99
+_ZEROS4 = np.argmax(np.c_[_DIGITS4[:, ::-1] != 48, np.ones(10 ** 4, bool)], 1)  # trailing zeros
+# a confidence's 21 columns, by exponent e in [-13, -1]: "0.000", d.d, 8 digits,
+# "e-XX" and "\n"; which are kept, by e and the significant digits s in [1, 10]
+_CONF_TEXT = np.frombuffer(b"".join(b"0.000%11se-%02d\n" % (b"", k) for k in range(13, 0, -1)),
+                           np.uint8).reshape(13, 21)
+_CONF_KEEP = np.array([[k < (0 if e < -4 else 1 - e) for k in range(5)]
+                       + [True, e < -4 and s > 1] + [k < s for k in range(1, 10)]
+                       + [e < -4] * 4 + [True] for e in range(-13, 0) for s in range(1, 11)])
+
+
+def _padded(texts: list[bytes], width: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Byte strings as the rows of a zero-padded uint8 matrix, and its mask."""
+    lens = np.fromiter(map(len, texts), np.intp, len(texts))
+    cols = np.zeros((len(texts), int(lens.max(initial=width))), np.uint8)
+    mask = np.arange(cols.shape[1]) < lens[:, None]
+    cols[mask] = np.frombuffer(b"".join(texts), np.uint8)
+    return cols, mask
+
+
+def _conf_columns(confs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f"{c:.10g}\n" for each confidence, as 21 uint8 columns and their mask."""
+    fast = (confs >= 1e-13) & (confs < 1.0)
+    c = np.where(fast, confs, 0.5)
+    e = np.clip(np.floor(np.log10(c)), -13, -1).astype(np.intp)
+    d = np.rint(c * _POW10[9 - e])
+    e = np.clip(e + (d >= 1e10) - (d < 1e9), -13, -1)  # log10 or the rounding was one off
+    y = c * _POW10[9 - e]  # within 2**-20 of the exact c * 10**(9 - e)
+    ok = (fast & (y < 1e10 - 0.5) & (y - 1e9 > 2.0 ** -18 - 0.05)
+          & (np.abs(y - np.floor(y) - 0.5) > 2.0 ** -18))
+    n = np.rint(np.where(ok, y, 1e9)).astype(np.int64)
+    hi, mid, lo = n // 10 ** 8, n // 10 ** 4 % 10 ** 4, n % 10 ** 4  # 2, 4 and 4 digits
+    sig = 10 - _ZEROS4[lo] - (lo == 0) * (_ZEROS4[mid] + (mid == 0) * _ZEROS4[hi])
+    cols = np.take(_CONF_TEXT, e + 13, axis=0)
+    cols[:, 5:8] = np.take(_HEAD3, hi, axis=0)
+    cols[:, 8:12] = np.take(_DIGITS4, mid, axis=0)
+    cols[:, 12:16] = np.take(_DIGITS4, lo, axis=0)
+    mask = np.take(_CONF_KEEP, (e + 13) * 10 + sig - 1, axis=0)
+    slow = np.flatnonzero(~ok)
+    cols[slow, :20], mask[slow, :20] = _padded(
+        [format(c, ".10g").encode() for c in confs[slow].tolist()], 20)
+    return cols, mask
+
+
+def _label_columns(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each entry's row in a table of "label," texts, and the padded table and its mask."""
+    low, high = int(labels.min(initial=0)), int(labels.max(initial=0))
+    values, which = ((range(low, high + 1), labels - low) if high - low < _LABEL_TABLE
+                     else np.unique(labels, return_inverse=True))
+    return (which, *_padded([b"%d," % v for v in values]))
+
+
+def _block_rows(ranked: Ranked, labels: tuple, a: int, b: int) -> str:
+    """The rows of videos a..b-1, cut as UTF-8 from padded columns by one mask."""
+    pre_cols, pre_mask = _padded([_quote_row((video_id, ""))[:-2].encode("utf-8", "surrogatepass")
+                                  for video_id in ranked.ids[a:b]])
+    lo, hi = int(ranked.starts[a]), int(ranked.starts[b])
+    which, label_cols, label_mask = labels
+    if (hi - lo) * (pre_cols.shape[1] + label_cols.shape[1] + 21) > _BLOCK_CELLS and b - a > 1:
+        mid = (a + b) // 2
+        return _block_rows(ranked, labels, a, mid) + _block_rows(ranked, labels, mid, b)
+    video, entry = np.repeat(np.arange(b - a), np.diff(ranked.starts[a:b + 1])), which[lo:hi]
+    conf_cols, conf_mask = _conf_columns(ranked.confs[lo:hi])
+    rows = np.concatenate((np.take(pre_cols, video, axis=0),
+                           np.take(label_cols, entry, axis=0), conf_cols), axis=1)
+    keep = np.concatenate((np.take(pre_mask, video, axis=0),
+                           np.take(label_mask, entry, axis=0), conf_mask), axis=1)
+    return rows[keep].tobytes().decode("utf-8", "surrogatepass")
 
 
 def write_predictions_csv(ranked: Ranked) -> str:
     """video_id,label,confidence rows, each video's entries best first: the
     bytes a csv.writer gives for (video_id, label, f"{conf:.10g}") rows, with
     an id holding a carriage return quoted as well."""
-    out = io.StringIO()
-    out.write("video_id,label,confidence\n")
-    starts, counts = ranked.starts.tolist(), np.diff(ranked.starts).tolist()
-    row = "{}{},{:.10g}\n".format
-    for a in range(0, len(ranked.ids), _CSV_BLOCK):
-        b = min(a + _CSV_BLOCK, len(ranked.ids))
-        prefixes = [_quote_row((video_id, ""))[:-2] for video_id in ranked.ids[a:b]]
-        lo, hi = starts[a], starts[b]
-        out.write("".join(map(row, chain.from_iterable(map(repeat, prefixes, counts[a:b])),
-                              ranked.labels[lo:hi].tolist(), ranked.confs[lo:hi].tolist())))
-    return out.getvalue()
+    labels = _label_columns(ranked.labels)
+    return "".join(["video_id,label,confidence\n"] + [
+        _block_rows(ranked, labels, a, min(a + _CSV_BLOCK, len(ranked.ids)))
+        for a in range(0, len(ranked.ids), _CSV_BLOCK)])

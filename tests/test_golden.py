@@ -15,12 +15,17 @@ and both ``rebalance`` outputs.  Their bytes follow from the generator, the
 VFR codec and the rebalance recipes alone, so no change short of a new
 format or a new recipe may move them.  So is ``framepool eval`` of a toy K=8
 checkpoint on 300 videos, three scoring chunks: its predictions CSV, its
-``--out-miss`` CSV and its stdout.
+``--out-miss`` CSV and its stdout.  The full-size ``score_cli`` benchmark
+workload's predictions CSV (10,000 videos, 200,000 rows) is pinned as well,
+from the inputs that ``perfbench/workloads.py`` sets up at seed 1; the file
+is loaded and used as it is, never edited.
 """
 
 import contextlib
 import hashlib
+import importlib.util
 import io
+from pathlib import Path
 
 from framepool.cli import main
 from framepool.featureio import SyntheticSpec, generate_synthetic
@@ -38,6 +43,7 @@ DATA_SHA256 = {
     "hard.vfr": "5917f718dc2c7beba7ece45c0114106a067edbf6b35bd235a2d043c487247438",
     "tail.vfr": "c218e1d8f18ddbb1c8e702857371f7ae5881ed14dd874322aa532744647041d8",
 }
+SCORE_CLI_CSV_SHA256 = "3289eb7468acf3f2411d5e338df9a7f153780280fd641dcbf6e3fa71b787db88"
 
 
 def _run_digests(config):
@@ -114,3 +120,21 @@ def test_eval_predictions_miss_csv_and_stdout_bytes_are_pinned(tmp_path, monkeyp
                for name in ("predictions.csv", "miss.csv")}
     digests["stdout"] = hashlib.sha256(out.getvalue().encode()).hexdigest()
     assert digests == EVAL_SHA256
+
+
+def _load_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_full_score_cli_predictions_csv_bytes_are_pinned(tmp_path):
+    _load_workloads().ScoreCli("full", 1, tmp_path).setup()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["eval", "--checkpoint", str(tmp_path / "model.vpck"),
+                     "--data", str(tmp_path / "eval.vfr"),
+                     "--out-predictions", str(tmp_path / "predictions.csv")]) == 0
+    digest = hashlib.sha256((tmp_path / "predictions.csv").read_bytes()).hexdigest()
+    assert digest == SCORE_CLI_CSV_SHA256

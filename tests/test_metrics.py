@@ -1,12 +1,14 @@
 import csv
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from framepool import metrics
 from framepool.metrics import (
     GapConfig,
     MissReport,
@@ -21,6 +23,7 @@ from framepool.metrics import (
     read_truth_csv,
     write_predictions_csv,
 )
+from framepool.netmodel import PROB_FLOOR
 
 FIXTURE_PREDICTIONS = [
     ("A", [(0, 0.9), (3, 0.7)]),
@@ -437,6 +440,79 @@ def test_predictions_csv_ids_survive_write_then_read(ids):
     text = write_predictions_csv(ranked)
     assert read_predictions_csv(io.StringIO(text, newline="")) == [
         (video_id, [(label, 0.5)]) for label, video_id in enumerate(ids)]
+
+
+def _written_confs(confs):
+    """The confidence text of each row write_predictions_csv writes for confs."""
+    confs = np.array(confs, dtype=np.float64)
+    ranked = Ranked(["v"], np.zeros(len(confs), np.int64), confs, np.array([0, len(confs)]))
+    return [row.split(",")[2] for row in write_predictions_csv(ranked).splitlines()[1:]]
+
+
+def _ulps_around(values, ulps=3):
+    """Each value and its neighbours up to ``ulps`` doubles away on both sides."""
+    out = []
+    for v in values:
+        up = down = float(v)
+        out.append(up)
+        for _ in range(ulps):
+            up, down = float(np.nextafter(up, np.inf)), float(np.nextafter(down, -np.inf))
+            out += [up, down]
+    return out
+
+
+def _encoder_edges():
+    """Values where the digits or the exponent of format(c, ".10g") change."""
+    rng = np.random.default_rng(0)
+    values = []
+    for e in range(-13, 0):
+        values += _ulps_around([10.0 ** e])
+        # half-way between two 10-digit values, where format() rounds half to even
+        ks = [10 ** 9, 10 ** 10 - 1, *rng.integers(10 ** 9, 10 ** 10, size=20).tolist()]
+        values += _ulps_around([float(Fraction(2 * k + 1, 2) * Fraction(10) ** (e - 9))
+                                for k in ks])
+    values += _ulps_around([9.99999999995e-05, 0.99999999995, 0.0999999999996,
+                            9.99999999996e-05, PROB_FLOOR, 1 - PROB_FLOOR, 1e-13])
+    values += [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1.0, -1.0,
+               -0.5, 1.5, 1e300, -1.7976931348623157e308, math.inf, -math.inf, math.nan]
+    return values
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.floats(1e-13, 1.0, exclude_max=True)), min_size=1, max_size=40))
+def test_confidence_encoder_equals_format_for_any_double(confs):
+    assert _written_confs(confs) == [format(c, ".10g") for c in confs]
+
+
+def test_confidence_encoder_equals_format_where_rounding_turns():
+    values = _encoder_edges()
+    assert _written_confs(values) == [format(c, ".10g") for c in values]
+
+
+def test_confidence_encoder_leaves_format_only_what_it_cannot_prove(monkeypatch):
+    # powers of ten, values whose digits round up to the next power (one of
+    # them from the exponent form into 0.0001), and ordinary probabilities
+    # are all encoded without format(); the near half-way values need it
+    calls = []
+    monkeypatch.setattr(metrics, "format", lambda c, spec: calls.append(c) or format(c, spec),
+                        raising=False)
+    proven = [c for c in _ulps_around([10.0 ** e for e in range(-13, 0)] + [
+        0.0999999999996, 9.99999999996e-05, 0.0999999999, PROB_FLOOR]) if c >= 1e-13]
+    proven += np.random.default_rng(1).uniform(size=2000).tolist()
+    assert _written_confs(proven) == [format(c, ".10g") for c in proven]
+    assert calls == []
+    assert _written_confs([0.5, 1.0, 0.0, 2.5e-14]) == ["0.5", "1", "0", "2.5e-14"]
+    assert calls == [1.0, 0.0, 2.5e-14]
+
+
+def test_predictions_csv_writes_labels_of_any_int64():
+    labels = np.array([-1, 0, 7, -(2 ** 63), 2 ** 63 - 1, 2 ** 40, -5], np.int64)
+    ranked = Ranked(["a", "b"], labels, np.linspace(0.9, 0.1, len(labels)), np.array([0, 3, 7]))
+    assert write_predictions_csv(ranked) == reference_predictions_csv(ranked)
+    near = Ranked(["a"], np.array([2 ** 63 - 1, 2 ** 63 - 3]), np.array([0.5, 0.25]),
+                  np.array([0, 2]))
+    assert write_predictions_csv(near) == reference_predictions_csv(near)
 
 
 def test_csv_bad_headers_rejected():
