@@ -315,13 +315,13 @@ class Corpus(Sequence[VideoRecord]):
 def _first_bad_record(corpus: Corpus) -> int:
     """The lowest record of a whole-file corpus that breaks a rule, or its
     length.  Each rule runs once over the file; the frames are checked as the
-    payload rows of each byte alignment's records, gathered from a float32
-    view of the buffer at that alignment _SCAN_FLOATS floats at a time."""
+    payload rows of each byte alignment's records, gathered from a float32 view
+    at that alignment _SCAN_FLOATS floats (at most _SCAN_FLOATS / 8 rows) a pass."""
     frames_at, width = corpus.frames_at, corpus.header.feature_dim
     sizes = np.diff(corpus.label_ends, prepend=0)
     empty = (frames_at - 6 == corpus.offsets[:-1]) | (sizes == 0)  # id or labels
     bad = int(np.argmax(empty)) if empty.any() else len(sizes)
-    step = max(1, _SCAN_FLOATS // width)  # payload rows per pass
+    step = max(1, _SCAN_FLOATS // max(width, 8))  # payload rows per pass, and 3 indices each
     for align in range(4):
         owners = np.flatnonzero(frames_at[:bad] % 4 == align)
         counts = corpus.frame_counts[owners]
@@ -512,14 +512,12 @@ def _draw_labels(rng: np.random.Generator, cdf: list, weights: np.ndarray, k: in
     return sorted(found)
 
 
-def _chunk_records(protos: np.ndarray, first: int, labels: list, noise,
-                   noise_scale: float, lengths: list | None = None) -> list[VideoRecord]:
-    """Records ``first, first + 1, ...`` from their label lists and (T, D)
-    noise draws, a list or the rows of one block with each draw's T in
-    ``lengths``: the mean of each record's prototypes plus the scaled noise,
-    cast to float32 in one block whose row slices are the records' frames."""
-    if lengths is None:
-        lengths, noise = [len(rows) for rows in noise], np.concatenate(noise)
+def _chunk_records(protos: np.ndarray, first: int, labels: list, noise: np.ndarray,
+                   noise_scale: float, lengths: list) -> list[VideoRecord]:
+    """Records ``first, first + 1, ...`` from their label lists and their
+    noise draws, the rows of one block with each draw's T in ``lengths``: the
+    mean of each record's prototypes plus the scaled noise, cast to float32 in
+    one block whose row slices are the records' frames."""
     sizes = np.array([len(label_ids) for label_ids in labels])
     base = np.empty((len(labels), protos.shape[1]))
     # one (videos, k, D) mean per label count k sums in the order each video's own
@@ -550,7 +548,8 @@ def generate_synthetic(spec: SyntheticSpec) -> list[VideoRecord]:
     cdf = (cdf / cdf[-1]).tolist()
     records: list[VideoRecord] = []
     labels, lengths = [], []  # the chunk drawn but not yet built
-    block, at = np.empty((CHUNK_RECORDS * spec.t_max, spec.feature_dim)), 0  # rows drawn
+    block = np.empty((min(CHUNK_RECORDS, spec.num_videos) * spec.t_max, spec.feature_dim))
+    at = 0  # rows of block drawn
     for v in range(spec.num_videos):
         k = int(rng.integers(spec.labels_min, spec.labels_max + 1))
         labels.append(_draw_labels(rng, cdf, weights, k))

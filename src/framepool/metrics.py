@@ -377,7 +377,8 @@ def _conf_columns(confs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _label_columns(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each entry's row in a table of "label," texts, and the padded table and its mask."""
+    """Each entry's row in a table of "label," texts, and the padded table and its
+    mask; by offset where it can, as np.unique's sort took 6 of 44 ms on score_cli."""
     low, high = int(labels.min(initial=0)), int(labels.max(initial=0))
     values, which = ((range(low, high + 1), labels - low) if high - low < _LABEL_TABLE
                      else np.unique(labels, return_inverse=True))

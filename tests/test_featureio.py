@@ -306,7 +306,7 @@ def test_chunk_base_sums_labels_in_the_order_a_videos_own_mean_does(width):
     protos = np.zeros((8, width))
     protos[:, 0] = [1.0, 2.0**-24] + [2.0**-54] * 6
     labels = list(range(8))
-    (record,) = _chunk_records(protos, 0, [labels], [np.zeros((1, width))], 0.0)
+    (record,) = _chunk_records(protos, 0, [labels], np.zeros((1, width)), 0.0, [1])
     want = protos[labels].mean(axis=0).astype(np.float32)
     assert record.frames.tobytes() == want.tobytes()
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+from unittest import mock
 from fractions import Fraction
 
 import numpy as np
@@ -410,7 +411,8 @@ _CONF_TIES = np.array([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-5, 1 / 3
 @given(st.lists(st.text(alphabet=',"\r\n a\u00e9\u4e2d', max_size=5), min_size=1, max_size=8),
        st.integers(1, 300), st.integers(0, 2**31))
 def test_block_writer_equals_row_walk(id_pool, n_videos, seed):
-    # more than 128 videos split into blocks; counts and ids vary per video
+    # up to 300 videos in one block (block joins are checked with small
+    # blocks below); counts and ids vary per video
     rng = np.random.default_rng(seed)
     ids = [id_pool[int(i)] for i in rng.integers(len(id_pool), size=n_videos)]
     counts = rng.integers(0, 6, size=n_videos)
@@ -419,6 +421,44 @@ def test_block_writer_equals_row_walk(id_pool, n_videos, seed):
     ranked = Ranked(ids, rng.integers(0, 1000, size=m), confs,
                     np.concatenate([[0], np.cumsum(counts)]))
     assert write_predictions_csv(ranked) == reference_predictions_csv(ranked)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.text(alphabet=',"\r\n a\u00e9\u4e2d', max_size=5), min_size=1, max_size=8),
+       st.integers(1, 40), st.integers(1, 7), st.integers(0, 2**31))
+def test_block_writer_joins_small_blocks_as_the_row_walk_does(id_pool, n_videos, block, seed):
+    # blocks of a few videos, so most cases cross several block boundaries,
+    # some of them after a video with no entries
+    rng = np.random.default_rng(seed)
+    ids = [id_pool[int(i)] for i in rng.integers(len(id_pool), size=n_videos)]
+    counts = rng.integers(0, 4, size=n_videos)
+    m = int(counts.sum())
+    confs = np.where(rng.random(m) < 0.5, rng.choice(_CONF_TIES, size=m), rng.uniform(size=m))
+    ranked = Ranked(ids, rng.integers(-5, 1000, size=m), confs,
+                    np.concatenate([[0], np.cumsum(counts)]))
+    with mock.patch.object(metrics, "_CSV_BLOCK", block):
+        assert write_predictions_csv(ranked) == reference_predictions_csv(ranked)
+
+
+def test_block_writer_halves_a_block_of_long_ids(monkeypatch):
+    # 200 videos of 10 rows whose ids run to thousands of bytes (commas,
+    # quotes, CR, LF, 2- to 4-byte UTF-8 and a lone surrogate) pass
+    # _BLOCK_CELLS, so the block is halved, and its halves again
+    rng = np.random.default_rng(7)
+    alphabet = list(',"\r\n a\u00e9\u4e2d\U0001f600\udc80')
+    ids = ["".join(rng.choice(alphabet, size=int(n))) for n in rng.integers(2000, 4000, size=200)]
+    m = 10 * len(ids)
+    ranked = Ranked(ids, rng.integers(0, 3000, size=m), rng.uniform(size=m),
+                    np.arange(0, m + 1, 10))
+    spans, block_rows = [], metrics._block_rows
+    monkeypatch.setattr(metrics, "_block_rows",
+                        lambda ranked, labels, a, b: spans.append(b - a)
+                        or block_rows(ranked, labels, a, b))
+    got = write_predictions_csv(ranked).split("\n")
+    want = reference_predictions_csv(ranked).split("\n")
+    assert len(got) == len(want)  # and no pieces differ, named without a diff of megabytes
+    assert [i for i, (g, w) in enumerate(zip(got, want)) if g != w] == []
+    assert spans == [200, 100, 50, 50, 100, 50, 50]
 
 
 def test_block_writer_quotes_ids_as_csv_does():
